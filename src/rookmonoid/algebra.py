@@ -22,7 +22,6 @@ from .diagrams import (
     generator,
     identity,
     is_diagram,
-    monoid_order,
     multiply,
     perm_sign,
     rank_class,
@@ -275,7 +274,3 @@ def integer_coordinates(a: AlgebraElement) -> dict[int, int]:
     for c in coords.values():
         denom = denom * c.denominator // math.gcd(denom, c.denominator)
     return {i: int(c * denom) for i, c in coords.items()}
-
-
-def dimension_of_algebra(n: int) -> int:
-    return monoid_order(n)

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from . import diagrams, ideals, specht, verify
+from . import diagrams, ideals, specht, tensor, verify
 from .algebra import (
     AlgebraElement,
     antisymmetrizer,
@@ -235,13 +235,6 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
         raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
     tasks: list[tuple[str, object]] = []
 
-    def tensor_cap(m, n):
-        check_cap(
-            f"tensor matrix cells (m+1)^(2n) at m={m}, n={n}",
-            ((m + 1) ** n) ** 2,
-            max_cells,
-        )
-
     def order_cap(n):
         check_cap(f"rook monoid order at n={n}", diagrams.monoid_order(n), max_cells)
 
@@ -277,7 +270,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
         for m in (1, 2):
             if m > m_max:
                 continue
-            tensor_cap(m, n)
+            tensor.check_tensor_cap(m, n, max_cells)
             tasks.append(
                 (
                     f"tensor-homomorphism(n={n},m={m})",
@@ -288,7 +281,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
         for m in (1, 2):
             if m > m_max:
                 continue
-            tensor_cap(m, 4)
+            tensor.check_tensor_cap(m, 4, max_cells)
             tasks.append(
                 (
                     f"tensor-homomorphism(n=4,m={m})",
@@ -299,7 +292,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
     if m_max >= 3 and n_max >= 2:
         faithful_pairs.append((3, 2))
     for m, n in faithful_pairs:
-        tensor_cap(m, n)
+        tensor.check_tensor_cap(m, n, max_cells)
         tasks.append(
             (
                 f"faithful(m={m},n={n})",
@@ -308,7 +301,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
         )
     for n in range(2, n_max + 1):
         for m in range(1, min(n - 1, m_max) + 1):
-            tensor_cap(m, n)
+            tensor.check_tensor_cap(m, n, max_cells)
             order_cap(n)
             tasks.append(
                 (

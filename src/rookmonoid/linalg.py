@@ -183,8 +183,8 @@ class SpanBasis:
     Rows are stored as primitive integer dicts keyed by their pivot column,
     with positive pivot entry, and are fully reduced against one another.
     That form is unique for a given subspace, so structural equality of two
-    bases is span equality.  ``insert`` mutates; use ``copy`` or the
-    module-level ``span_insert`` for a functional update.
+    bases is span equality.  ``insert`` mutates; ``copy`` first to keep the
+    original.
     """
 
     __slots__ = ("dim", "_rows")
@@ -306,20 +306,6 @@ class SpanBasis:
         return f"SpanBasis(dim={self.dim}, dimension={self.dimension})"
 
 
-def span_insert(basis: SpanBasis, vec) -> tuple[SpanBasis, bool]:
-    out = basis.copy()
-    grew = out.insert(vec)
-    return out, grew
-
-
-def span_contains(basis: SpanBasis, vec) -> bool:
-    return basis.contains(vec)
-
-
-def span_equal(b1: SpanBasis, b2: SpanBasis) -> bool:
-    return b1 == b2
-
-
 def _sorted_row_iter(m: SparseMatrix):
     # Insert sparse rows first; it keeps the echelon rows short.
     rows = m.row_dicts()
@@ -327,12 +313,11 @@ def _sorted_row_iter(m: SparseMatrix):
         yield rows[r]
 
 
-def row_space(m: SparseMatrix, *, stop_at: int | None = None) -> SpanBasis:
+def row_space(m: SparseMatrix) -> SpanBasis:
     basis = SpanBasis(m.cols)
-    limit = m.cols if stop_at is None else min(stop_at, m.cols)
     for row in _sorted_row_iter(m):
         basis.insert(row)
-        if basis.dimension >= limit:
+        if basis.dimension == m.cols:
             break
     return basis
 

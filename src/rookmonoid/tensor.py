@@ -30,7 +30,8 @@ def tensor_dim(m: int, n: int) -> int:
     return (m + 1) ** n
 
 
-def _guard(m: int, n: int, max_cells: int) -> None:
+def check_tensor_cap(m: int, n: int, max_cells: int) -> None:
+    """Refuse tensor matrices with more than ``max_cells`` cells."""
     check_cap(
         f"tensor matrix cells (m+1)^(2n) at m={m}, n={n}",
         tensor_dim(m, n) ** 2,
@@ -52,7 +53,7 @@ def diagram_matrix(
 ) -> SparseMatrix:
     """The 0/1 matrix of one diagram on the tensor power."""
     n = len(d)
-    _guard(m, n, max_cells)
+    check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
     hit = set(d) - {0}
     # isolated bottom vertices only accept digit 0
@@ -69,7 +70,7 @@ def element_matrix(
     a: AlgebraElement, m: int, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> SparseMatrix:
     """Matrix of an algebra element; exact cancellation included."""
-    _guard(m, a.n, max_cells)
+    check_tensor_cap(m, a.n, max_cells)
     dim = tensor_dim(m, a.n)
     acc: dict[tuple[int, int], Fraction] = {}
     for d, coeff in a.terms.items():
@@ -88,7 +89,7 @@ def phi_matrix(
     """The representation map as one matrix: row index runs over (output,
     input) basis pairs vectorized row-major, columns over the canonical
     diagram order."""
-    _guard(m, n, max_cells)
+    check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
     diags = all_diagrams(n)
     entries: dict[tuple[int, int], Fraction] = {}

@@ -20,6 +20,7 @@ from rookmonoid.ideals import (
     two_sided_ideal_exhaustive,
 )
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
+from rookmonoid.tensor import annihilator_basis
 
 
 def test_saturation_matches_exhaustive():
@@ -37,14 +38,6 @@ def test_saturation_matches_exhaustive_on_sums():
     diags = all_diagrams(n)
     a = AlgebraElement(n, {diags[2]: Fraction(1), diags[17]: Fraction(-1, 2)})
     assert two_sided_ideal(a).basis == two_sided_ideal_exhaustive(a).basis
-
-
-def test_target_dim_early_stop_is_exact():
-    n = 3
-    a = full_projector(n)
-    full = two_sided_ideal(a)
-    early = two_sided_ideal(a, target_dim=full.dimension)
-    assert early.basis == full.basis
 
 
 def test_rank_zero_ideal_is_one_dimensional():
@@ -151,6 +144,14 @@ def test_annihilator_ideal_report_small_cases():
     for m, n in ((1, 3), (2, 3)):
         rep = check_annihilator_ideal(m, n)
         assert rep["pass"], rep
+
+
+def test_annihilator_equals_generator_ideal_as_canonical_bases():
+    # the echelon form is canonical, so equal bases mean equal subspaces
+    for n in range(1, 5):
+        for m in range(n):
+            ideal = two_sided_ideal(top_antisymmetrizer(m + 1, n))
+            assert annihilator_basis(m, n) == ideal.basis, (m, n)
 
 
 def test_generator_ideal_dimension_matches_annihilator_formula():
