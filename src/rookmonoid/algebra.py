@@ -4,6 +4,9 @@ Elements multiply by convolving supports through diagram composition.  The
 module also builds the distinguished elements the structure theory runs on:
 full symmetrizers and antisymmetrizers over a chosen vertex subset, the
 all-deleting projector, and the quasi-idempotent attached to a tableau.
+All of these have integer coefficients, so they are built, and multiply,
+over Python ints; ``Fraction`` coefficients enter only when a caller passes
+a non-integer.
 """
 
 from __future__ import annotations
@@ -29,26 +32,35 @@ from .diagrams import (
 )
 
 
+Coeff = int | Fraction
+
+
+def _exact(c) -> Coeff:
+    """An int or Fraction as given; anything else through ``Fraction``."""
+    return c if type(c) is int or isinstance(c, Fraction) else Fraction(c)
+
+
 class AlgebraElement:
-    """A finitely supported map from diagrams to nonzero rationals."""
+    """A finitely supported map from diagrams to nonzero rationals, each an
+    int or a Fraction."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Diagram, Fraction | int] | None = None):
+    def __init__(self, n: int, terms: Mapping[Diagram, Coeff] | None = None):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        clean: dict[Diagram, Fraction] = {}
+        clean: dict[Diagram, Coeff] = {}
         for d, c in (terms or {}).items():
             if len(d) != n:
                 raise ValueError(f"diagram {d} has size {len(d)}, expected {n}")
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[tuple(d)] = c
         self.terms = clean
 
     @classmethod
-    def from_diagram(cls, d: Sequence[int], coeff: Fraction | int = 1) -> "AlgebraElement":
+    def from_diagram(cls, d: Sequence[int], coeff: Coeff = 1) -> "AlgebraElement":
         if not is_diagram(d):
             raise ValueError(f"not a diagram: {d}")
         return cls(len(d), {tuple(d): coeff})
@@ -89,8 +101,8 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
-    def scale(self, c: Fraction | int) -> "AlgebraElement":
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> "AlgebraElement":
+        c = _exact(c)
         out = AlgebraElement(self.n)
         if c:
             out.terms = {d: c * v for d, v in self.terms.items()}
@@ -99,7 +111,7 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             self._require_same_size(other)
-            terms: dict[Diagram, Fraction] = {}
+            terms: dict[Diagram, Coeff] = {}
             for d1, c1 in self.terms.items():
                 for d2, c2 in other.terms.items():
                     d = multiply(d1, d2)
@@ -156,12 +168,12 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AlgebraElement":
-        terms: dict[Diagram, Fraction] = {}
+        terms: dict[Diagram, Coeff] = {}
         for item in obj["terms"]:
             d = tuple(item["diagram"])
             if not is_diagram(d):
                 raise ValueError(f"not a diagram: {d}")
-            terms[d] = terms.get(d, Fraction(0)) + Fraction(item["coeff"])
+            terms[d] = terms.get(d, 0) + Fraction(item["coeff"])
         return cls(obj["n"], terms)
 
 
@@ -196,11 +208,11 @@ def symmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     """
     labels = _subset_labels(subset, n)
     k = len(labels)
-    terms: dict[Diagram, Fraction] = {}
+    terms: dict[Diagram, int] = {}
     for w in all_permutations(k):
-        terms[_embed(w, labels, n)] = Fraction(1)
+        terms[_embed(w, labels, n)] = 1
     for r in range(1, k + 1):
-        coeff = Fraction((-1) ** r * math.factorial(r))
+        coeff = (-1) ** r * math.factorial(r)
         for small in rank_class(k, r):
             terms[_embed(small, labels, n)] = coeff
     out = AlgebraElement(n)
@@ -214,11 +226,11 @@ def antisymmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     deletions as 0.  Signs are computed on {1..k} before transport."""
     labels = _subset_labels(subset, n)
     k = len(labels)
-    terms: dict[Diagram, Fraction] = {}
+    terms: dict[Diagram, int] = {}
     for w in all_permutations(k):
-        terms[_embed(w, labels, n)] = Fraction(perm_sign(w))
+        terms[_embed(w, labels, n)] = perm_sign(w)
     for small in rank_class(k, 1):
-        terms[_embed(small, labels, n)] = Fraction(diagram_sign(small))
+        terms[_embed(small, labels, n)] = diagram_sign(small)
     out = AlgebraElement(n)
     out.terms = terms
     return out
@@ -253,14 +265,14 @@ def tableau_quasi_idempotent(t: specht.Tableau) -> AlgebraElement:
     return out
 
 
-def element_coordinates(a: AlgebraElement) -> dict[int, Fraction]:
+def element_coordinates(a: AlgebraElement) -> dict[int, Coeff]:
     """Coordinates of an element in the canonical diagram order."""
     index = diagram_index(a.n)
     return {index[d]: c for d, c in a.terms.items()}
 
 
 def element_from_coordinates(
-    n: int, coords: Mapping[int, Fraction | int]
+    n: int, coords: Mapping[int, Coeff]
 ) -> AlgebraElement:
     diags = all_diagrams(n)
     return AlgebraElement(n, {diags[i]: c for i, c in coords.items() if c})

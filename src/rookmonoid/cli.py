@@ -20,7 +20,7 @@ from .algebra import (
     symmetrizer,
     tableau_quasi_idempotent,
 )
-from .caps import DEFAULT_MAX_CELLS, SizeCapError, check_cap
+from .caps import DEFAULT_MAX_CELLS, SizeCapError
 from .reporting import jsonable
 
 EXIT_PASS = 0
@@ -70,7 +70,7 @@ def _report_exit(rep: dict, args) -> int:
 
 def cmd_enumerate(args, parser) -> int:
     n = args.n
-    check_cap(f"rook monoid order at n={n}", diagrams.monoid_order(n), args.max_cells)
+    diagrams.check_order_cap(n, args.max_cells)
     if args.rank_class is not None:
         if not 0 <= args.rank_class <= n:
             parser.error(f"--rank-class must be in 0..{n}")
@@ -234,12 +234,8 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
     if n_max < 2 or m_max < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
     tasks: list[tuple[str, object]] = []
-
-    def order_cap(n):
-        check_cap(f"rook monoid order at n={n}", diagrams.monoid_order(n), max_cells)
-
     for n in range(1, n_max + 1):
-        order_cap(n)
+        diagrams.check_order_cap(n, max_cells)
         tasks.append((f"counting(n={n})", lambda n=n: verify.check_counting(n)))
     for n in range(2, n_max + 1):
         tasks.append(
@@ -249,7 +245,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
             )
         )
     for n in range(1, n_max + 1):
-        order_cap(n)
+        diagrams.check_order_cap(n, max_cells)
         unique = n <= 3
         tasks.append(
             (
@@ -302,7 +298,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
     for n in range(2, n_max + 1):
         for m in range(1, min(n - 1, m_max) + 1):
             tensor.check_tensor_cap(m, n, max_cells)
-            order_cap(n)
+            diagrams.check_order_cap(n, max_cells)
             tasks.append(
                 (
                     f"annihilator(m={m},n={n})",

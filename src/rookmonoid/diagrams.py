@@ -24,6 +24,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+from .caps import check_cap
 from .reporting import assertion, report
 
 Diagram = tuple[int, ...]
@@ -129,6 +130,11 @@ def isolated_bottom(d: Sequence[int]) -> tuple[int, ...]:
 def monoid_order(n: int) -> int:
     """Number of partial injections of {1..n}: sum of C(n,r)^2 r!."""
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+
+
+def check_order_cap(n: int, max_cells: int) -> None:
+    """Refuse listing the monoid when its order exceeds ``max_cells``."""
+    check_cap(f"rook monoid order at n={n}", monoid_order(n), max_cells)
 
 
 def rank_class_size(n: int, r: int) -> int:

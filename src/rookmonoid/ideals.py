@@ -99,21 +99,6 @@ def two_sided_ideal(a: AlgebraElement) -> IdealSpan:
     return IdealSpan(n, a, basis)
 
 
-def two_sided_ideal_exhaustive(a: AlgebraElement) -> IdealSpan:
-    """Span of every product D1 * a * D2; quadratic in the monoid order, for
-    cross-checking the saturation at small sizes."""
-    if a.is_zero():
-        raise ValueError("the zero element generates the zero ideal")
-    n = a.n
-    basis = SpanBasis(monoid_order(n))
-    diags = all_diagrams(n)
-    for d1 in diags:
-        left = AlgebraElement.from_diagram(d1) * a
-        for d2 in diags:
-            basis.insert(element_coordinates(left * AlgebraElement.from_diagram(d2)))
-    return IdealSpan(n, a, basis)
-
-
 @lru_cache(maxsize=None)
 def block_ideal(shape: specht.Shape, n: int) -> IdealSpan:
     """The two-sided ideal generated by the quasi-idempotent of the canonical
@@ -201,10 +186,7 @@ def check_block_decomposition(
     ]
 
     reps = {
-        shape: [
-            element_from_coordinates(n, dict(row.entries))
-            for row in blocks[shape].basis.rows()
-        ]
+        shape: [element_from_coordinates(n, row) for row in blocks[shape].basis.int_rows()]
         for shape in shapes
     }
     pairs = [

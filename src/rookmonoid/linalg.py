@@ -1,57 +1,20 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
-Vectors and matrices store only nonzero ``Fraction`` entries.  ``SpanBasis``
-keeps a subspace in reduced echelon form; internally its rows are primitive
-integer vectors (content 1, positive pivot), which keeps elimination inside
-fast integer arithmetic and makes the stored form canonical: two bases are
-equal exactly when they span the same subspace.
+Matrices store their nonzero entries as given: Python ints throughout the
+package, though ``Fraction`` entries work too.  ``SpanBasis`` keeps a
+subspace of Q^dim in reduced echelon form with primitive integer rows
+(content 1, positive pivot), which keeps elimination inside integer
+arithmetic and makes the stored form canonical: two bases are equal exactly
+when they span the same subspace.  A rational row is cleared of its
+denominators once, on the way in; ``nullspace`` returns primitive integer
+vectors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Mapping
-
-
-def _clean(entries: Mapping[int, Fraction | int], dim: int) -> dict[int, Fraction]:
-    out = {}
-    for i, v in entries.items():
-        if not 0 <= i < dim:
-            raise ValueError(f"index {i} outside 0..{dim - 1}")
-        v = Fraction(v)
-        if v:
-            out[i] = v
-    return out
-
-
-class SparseVector:
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: Mapping[int, Fraction | int] | None = None):
-        self.dim = dim
-        self.entries = _clean(entries or {}, dim)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseVector({self.dim}, {self.entries!r})"
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "entries": {str(i): str(v) for i, v in sorted(self.entries.items())}}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SparseVector":
-        return cls(obj["dim"], {int(i): Fraction(v) for i, v in obj["entries"].items()})
+from typing import Mapping
 
 
 class SparseMatrix:
@@ -61,7 +24,7 @@ class SparseMatrix:
         self,
         rows: int,
         cols: int,
-        entries: Mapping[tuple[int, int], Fraction | int] | None = None,
+        entries: Mapping[tuple[int, int], int | Fraction] | None = None,
     ):
         self.rows = rows
         self.cols = cols
@@ -69,7 +32,6 @@ class SparseMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r}, {c}) outside {rows} x {cols}")
-            v = Fraction(v)
             if v:
                 clean[(r, c)] = v
         self.entries = clean
@@ -87,54 +49,19 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
-    def row_dicts(self) -> dict[int, dict[int, Fraction]]:
+    def row_dicts(self) -> dict[int, dict[int, int | Fraction]]:
         """Nonzero rows as {row: {col: value}}."""
-        out: dict[int, dict[int, Fraction]] = {}
+        out: dict[int, dict[int, int | Fraction]] = {}
         for (r, c), v in self.entries.items():
             out.setdefault(r, {})[c] = v
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def to_triplet_text(self) -> str:
-        """One line per entry: ``row col value`` in row-major order."""
-        lines = [f"{self.rows} {self.cols}"]
-        for (r, c), v in sorted(self.entries.items()):
-            lines.append(f"{r} {c} {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text: str) -> "SparseMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols = map(int, lines[0].split())
-        entries = {}
-        for ln in lines[1:]:
-            r, c, v = ln.split()
-            entries[(int(r), int(c))] = Fraction(v)
-        return cls(rows, cols, entries)
-
-
-def from_rows(rows: Iterable[Iterable[Fraction | int]]) -> SparseMatrix:
-    dense = [list(row) for row in rows]
-    nrows = len(dense)
-    ncols = len(dense[0]) if dense else 0
-    entries = {
-        (r, c): v
-        for r, row in enumerate(dense)
-        for c, v in enumerate(row)
-        if Fraction(v)
-    }
-    return SparseMatrix(nrows, ncols, entries)
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.cols} vs {b.rows}")
     b_rows = b.row_dicts()
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int | Fraction] = {}
     for (r, k), va in a.entries.items():
         row_k = b_rows.get(k)
         if not row_k:
@@ -149,28 +76,8 @@ def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, b.cols, out)
 
 
-def mat_vec(m: SparseMatrix, v: SparseVector) -> SparseVector:
-    if m.cols != v.dim:
-        raise ValueError(f"shape mismatch: {m.cols} vs {v.dim}")
-    out: dict[int, Fraction] = {}
-    for (r, c), mv in m.entries.items():
-        xv = v.entries.get(c)
-        if xv is None:
-            continue
-        acc = out.get(r, 0) + mv * xv
-        if acc:
-            out[r] = acc
-        else:
-            out.pop(r, None)
-    return SparseVector(m.rows, out)
-
-
-def _gcd_all(values) -> int:
-    return reduce(math.gcd, values, 0)
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    g = _gcd_all(row.values())
+    g = math.gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g
@@ -199,22 +106,24 @@ class SpanBasis:
     def dimension(self) -> int:
         return len(self._rows)
 
-    def _int_row(self, vec) -> dict[int, int]:
-        if isinstance(vec, SparseVector):
-            if vec.dim != self.dim:
-                raise ValueError(f"dimension mismatch: {vec.dim} vs {self.dim}")
-            vec = vec.entries
-        kept: dict[int, Fraction | int] = {}
+    def _int_row(self, vec: Mapping[int, int | Fraction]) -> dict[int, int]:
+        """The primitive integer row on the line of ``vec``; the one place a
+        rational row is cleared of its denominators."""
+        row: dict[int, int | Fraction] = {}
+        rational = False
         denom = 1
         for i, v in vec.items():
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} outside 0..{self.dim - 1}")
-            if not isinstance(v, int):
+            if not v:
+                continue
+            if type(v) is not int:
                 v = Fraction(v)
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-            if v:
-                kept[i] = v
-        row = {i: int(v * denom) for i, v in kept.items()}
+                denom = math.lcm(denom, v.denominator)
+                rational = True
+            row[i] = v
+        if rational:
+            row = {i: int(v * denom) for i, v in row.items()}
         return _primitive(row) if row else row
 
     def _eliminate(self, row: dict[int, int]) -> dict[int, int]:
@@ -277,15 +186,6 @@ class SpanBasis:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
 
-    def rows(self) -> list[SparseVector]:
-        """Echelon rows over Q, each scaled so its pivot entry is 1."""
-        out = []
-        for p in sorted(self._rows):
-            rp = self._rows[p]
-            a = rp[p]
-            out.append(SparseVector(self.dim, {j: Fraction(v, a) for j, v in rp.items()}))
-        return out
-
     def int_rows(self) -> list[dict[int, int]]:
         """Copies of the primitive integer rows, in pivot order."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
@@ -326,18 +226,26 @@ def rank(m: SparseMatrix) -> int:
     return row_space(m).dimension
 
 
-def nullspace(m: SparseMatrix) -> list[SparseVector]:
-    """A basis of {x : m x = 0}, one vector per non-pivot column."""
+def nullspace(m: SparseMatrix) -> list[dict[int, int]]:
+    """A basis of {x : m x = 0}: one primitive integer vector per non-pivot
+    column j, positive at j and zero at every other non-pivot column."""
     basis = row_space(m)
-    rows = {p: r for p, r in zip(basis.pivots(), basis.int_rows())}
+    rows = dict(zip(basis.pivots(), basis.int_rows()))
+    # the echelon rows meeting each non-pivot column, as (pivot, pivot entry, entry)
+    hits: dict[int, list[tuple[int, int, int]]] = {}
+    for p, rp in rows.items():
+        a = rp[p]
+        for j, c in rp.items():
+            if j != p:
+                hits.setdefault(j, []).append((p, a, c))
     out = []
     for j in range(m.cols):
         if j in rows:
             continue
-        x = {j: Fraction(1)}
-        for p, rp in rows.items():
-            c = rp.get(j)
-            if c:
-                x[p] = Fraction(-c, rp[p])
-        out.append(SparseVector(m.cols, x))
+        col = hits.get(j, ())
+        scale = math.lcm(*(a for _, a, _ in col))
+        x = {j: scale}
+        for p, a, c in col:
+            x[p] = -c * (scale // a)
+        out.append(_primitive(x))
     return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -21,7 +20,7 @@ from . import diagrams
 from .linalg import SpanBasis
 
 if TYPE_CHECKING:
-    from .algebra import AlgebraElement
+    from .algebra import AlgebraElement, Coeff
 
 Shape = tuple[int, ...]
 Tabloid = tuple[tuple[int, ...], ...]
@@ -207,10 +206,10 @@ def act_on_tabloid(d: Sequence[int], tb: Tabloid, n: int) -> Tabloid | None:
 
 
 def act_on_tabloid_vector(
-    a: "AlgebraElement", vec: dict[Tabloid, Fraction]
-) -> dict[Tabloid, Fraction]:
+    a: "AlgebraElement", vec: dict[Tabloid, "Coeff"]
+) -> dict[Tabloid, "Coeff"]:
     """Extend the tabloid action linearly to an algebra element."""
-    out: dict[Tabloid, Fraction] = {}
+    out: dict[Tabloid, Coeff] = {}
     for d, coeff in a.terms.items():
         for tb, c in vec.items():
             image = act_on_tabloid(d, tb, a.n)
@@ -236,10 +235,10 @@ def _arrangement_sign(base: tuple[int, ...], arrangement: tuple[int, ...]) -> in
     return -1 if inv % 2 else 1
 
 
-def polytabloid(t: Tableau) -> dict[Tabloid, Fraction]:
+def polytabloid(t: Tableau) -> dict[Tabloid, int]:
     """Signed sum of the tabloids reachable by permuting within columns."""
     cols = column_sets(t)
-    out: dict[Tabloid, Fraction] = {}
+    out: dict[Tabloid, int] = {}
     for arrangements in itertools.product(
         *(itertools.permutations(col) for col in cols)
     ):
@@ -253,15 +252,15 @@ def polytabloid(t: Tableau) -> dict[Tabloid, Fraction]:
         )
         acc = out.get(rows, 0) + sign
         if acc:
-            out[rows] = Fraction(acc)
+            out[rows] = acc
         else:
             out.pop(rows, None)
     return out
 
 
 def vector_coordinates(
-    vec: dict[Tabloid, Fraction], shape: Shape, n: int
-) -> dict[int, Fraction]:
+    vec: dict[Tabloid, "Coeff"], shape: Shape, n: int
+) -> dict[int, "Coeff"]:
     index = tabloid_index(tuple(shape), n)
     return {index[tb]: c for tb, c in vec.items()}
 

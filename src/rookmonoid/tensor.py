@@ -15,7 +15,6 @@ sum of i_j (m+1)^(n-j).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraElement
@@ -48,6 +47,16 @@ def tensor_index(digits: Sequence[int], m: int) -> int:
     return out
 
 
+def _diagram_entries(d: Sequence[int], m: int):
+    """The (row, column) positions of the 1s in one diagram's matrix."""
+    hit = set(d) - {0}
+    # isolated bottom vertices only accept digit 0
+    ranges = [range(m + 1) if b in hit else range(1) for b in range(1, len(d) + 1)]
+    for digits in itertools.product(*ranges):
+        out_digits = tuple(digits[b - 1] if b else 0 for b in d)
+        yield tensor_index(out_digits, m), tensor_index(digits, m)
+
+
 def diagram_matrix(
     d: Sequence[int], m: int, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> SparseMatrix:
@@ -55,15 +64,7 @@ def diagram_matrix(
     n = len(d)
     check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
-    hit = set(d) - {0}
-    # isolated bottom vertices only accept digit 0
-    ranges = [range(m + 1) if b in hit else range(1) for b in range(1, n + 1)]
-    entries: dict[tuple[int, int], Fraction] = {}
-    for digits in itertools.product(*ranges):
-        col = tensor_index(digits, m)
-        out_digits = tuple(digits[b - 1] if b else 0 for b in d)
-        entries[(tensor_index(out_digits, m), col)] = Fraction(1)
-    return SparseMatrix(dim, dim, entries)
+    return SparseMatrix(dim, dim, dict.fromkeys(_diagram_entries(d, m), 1))
 
 
 def element_matrix(
@@ -72,10 +73,10 @@ def element_matrix(
     """Matrix of an algebra element; exact cancellation included."""
     check_tensor_cap(m, a.n, max_cells)
     dim = tensor_dim(m, a.n)
-    acc: dict[tuple[int, int], Fraction] = {}
+    acc: dict[tuple[int, int], int] = {}
     for d, coeff in a.terms.items():
-        for key, one in diagram_matrix(d, m, max_cells=max_cells).entries.items():
-            val = acc.get(key, 0) + coeff * one
+        for key in _diagram_entries(d, m):
+            val = acc.get(key, 0) + coeff
             if val:
                 acc[key] = val
             else:
@@ -92,10 +93,10 @@ def phi_matrix(
     check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
     diags = all_diagrams(n)
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for col, d in enumerate(diags):
-        for (out_i, in_i), one in diagram_matrix(d, m, max_cells=max_cells).entries.items():
-            entries[(out_i * dim + in_i, col)] = one
+        for out_i, in_i in _diagram_entries(d, m):
+            entries[(out_i * dim + in_i, col)] = 1
     return SparseMatrix(dim * dim, len(diags), entries)
 
 
@@ -114,12 +115,3 @@ def annihilator_basis(
     for vec in kernel:
         basis.insert(vec)
     return basis
-
-
-def matrix_of_coordinates(
-    coords: dict[int, Fraction], m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SparseMatrix:
-    """Matrix of the element with the given canonical-order coordinates."""
-    diags = all_diagrams(n)
-    elem = AlgebraElement(n, {diags[i]: c for i, c in coords.items()})
-    return element_matrix(elem, m, max_cells=max_cells)

@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import itertools
 
+from rookmonoid.algebra import AlgebraElement, element_coordinates
 from rookmonoid.diagrams import (
     Quadruple,
+    all_diagrams,
     compose_quadruple,
     coset_reps,
+    monoid_order,
     perm_length,
 )
+from rookmonoid.ideals import IdealSpan
+from rookmonoid.linalg import SpanBasis, SparseMatrix
 
 
 def brute_quadruples(n: int):
@@ -61,3 +66,31 @@ def standard_tableau_count(shape: tuple[int, ...]) -> int:
         if ok:
             count += 1
     return count
+
+
+def mat_vec(m: SparseMatrix, x: dict) -> dict:
+    """The product m x as a dict of its nonzero entries."""
+    out: dict = {}
+    for (r, c), v in m.entries.items():
+        if c in x:
+            out[r] = out.get(r, 0) + v * x[c]
+    return {r: v for r, v in out.items() if v}
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def two_sided_ideal_exhaustive(a: AlgebraElement) -> IdealSpan:
+    """Span of every product D1 * a * D2; quadratic in the monoid order, for
+    cross-checking the saturation at small sizes."""
+    if a.is_zero():
+        raise ValueError("the zero element generates the zero ideal")
+    n = a.n
+    basis = SpanBasis(monoid_order(n))
+    diags = all_diagrams(n)
+    for d1 in diags:
+        left = AlgebraElement.from_diagram(d1) * a
+        for d2 in diags:
+            basis.insert(element_coordinates(left * AlgebraElement.from_diagram(d2)))
+    return IdealSpan(n, a, basis)

@@ -40,6 +40,21 @@ def test_element_arithmetic_basics():
     assert -s == s.scale(-1)
 
 
+def test_coefficients_stay_exact():
+    # ints and Fractions are kept as given; other numbers go through Fraction
+    d = identity(1)
+    assert type(AlgebraElement(1, {d: 3}).terms[d]) is int
+    assert AlgebraElement(1, {d: Fraction(1, 2)}).terms[d] == Fraction(1, 2)
+    assert AlgebraElement(1, {d: 0.25}).terms == {d: Fraction(1, 4)}
+    assert AlgebraElement(1, {d: "2/3"}).terms == {d: Fraction(2, 3)}
+    assert type(AlgebraElement(1, {d: "-2"}).terms[d]) is Fraction
+    assert AlgebraElement(1, {d: 0}).is_zero()
+    s = AlgebraElement.from_diagram(generator(2, "s", 1))
+    assert type(s.scale(-2).terms[generator(2, "s", 1)]) is int
+    assert s.scale(0.5).terms == {generator(2, "s", 1): Fraction(1, 2)}
+    assert all(type(c) is int for c in (s * s.scale(3)).terms.values())
+
+
 def test_element_mul_is_convolution():
     # (1 + p_1)(1 - p_1) = 1 - p_1 in FR_1: p_1 is idempotent
     p = AlgebraElement.from_diagram((0,))

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rookmonoid
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
 
@@ -155,6 +157,15 @@ def test_cap_message_on_stderr(capsys):
     assert captured.out == ""
 
 
+def test_verify_all_refuses_large_order(capsys):
+    code = main(["verify-all", "--n", "9", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refusing" in captured.err
+    assert "rook monoid order at n=9" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_bad_diagram(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sign", "--diagram", "5,1"])
@@ -177,10 +188,14 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package the tests do
+    src = os.path.dirname(os.path.dirname(rookmonoid.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rookmonoid", "enumerate", "--n", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2

@@ -17,10 +17,11 @@ from rookmonoid.ideals import (
     check_one_dimensional_ideals,
     check_specht_orthogonality,
     two_sided_ideal,
-    two_sided_ideal_exhaustive,
 )
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
 from rookmonoid.tensor import annihilator_basis
+
+from oracles import two_sided_ideal_exhaustive
 
 
 def test_saturation_matches_exhaustive():

@@ -1,22 +1,30 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from rookmonoid.algebra import AlgebraElement, top_antisymmetrizer
+from rookmonoid.algebra import (
+    AlgebraElement,
+    element_from_coordinates,
+    tableau_quasi_idempotent,
+    top_antisymmetrizer,
+)
 from rookmonoid.caps import SizeCapError
 from rookmonoid.diagrams import all_diagrams, generator, identity, monoid_order, multiply
-from rookmonoid.linalg import SparseMatrix, matmul, rank
+from rookmonoid.linalg import SparseMatrix, matmul, nullspace, rank
+from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.tensor import (
     annihilator_basis,
     diagram_matrix,
     element_matrix,
-    matrix_of_coordinates,
     phi_matrix,
     phi_rank,
     tensor_dim,
     tensor_index,
 )
+
+from oracles import mat_vec
 
 
 def test_tensor_dim():
@@ -175,9 +183,25 @@ def test_annihilator_basis_frozen_dims():
 def test_annihilator_vectors_annihilate():
     m, n = 1, 2
     basis = annihilator_basis(m, n)
-    for row in basis.rows():
-        mat = matrix_of_coordinates(row.entries, m, n)
+    for row in basis.int_rows():
+        mat = element_matrix(element_from_coordinates(n, row), m)
         assert mat.entries == {}
+
+
+def test_exact_core_is_integer():
+    # phi, the quasi-idempotents and the kernel basis carry plain ints
+    assert all(type(v) is int for v in phi_matrix(1, 3).entries.values())
+    for shape in all_shapes(3):
+        for t in (row_filled_tableau(shape, 3), column_filled_tableau(shape, 3)):
+            terms = tableau_quasi_idempotent(t).terms
+            assert all(type(c) is int for c in terms.values())
+    phi = phi_matrix(1, 4)
+    kernel = nullspace(phi)
+    assert len(kernel) == monoid_order(4) - phi_rank(1, 4)
+    for x in kernel:
+        assert all(type(c) is int for c in x.values())
+        assert math.gcd(*x.values()) == 1
+        assert not mat_vec(phi, x)
 
 
 def test_rank_nullity_across_phi():
