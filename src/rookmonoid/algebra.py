@@ -277,12 +277,3 @@ def element_from_coordinates(
     diags = all_diagrams(n)
     return AlgebraElement(n, {diags[i]: c for i, c in coords.items() if c})
 
-
-def integer_coordinates(a: AlgebraElement) -> dict[int, int]:
-    """Coordinates scaled by the common denominator: same line, integer
-    entries."""
-    coords = element_coordinates(a)
-    denom = 1
-    for c in coords.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return {i: int(c * denom) for i, c in coords.items()}

@@ -14,12 +14,7 @@ import json
 import sys
 
 from . import diagrams, ideals, specht, tensor, verify
-from .algebra import (
-    AlgebraElement,
-    antisymmetrizer,
-    symmetrizer,
-    tableau_quasi_idempotent,
-)
+from .algebra import antisymmetrizer, symmetrizer, tableau_quasi_idempotent
 from .caps import DEFAULT_MAX_CELLS, SizeCapError
 from .reporting import jsonable
 
@@ -246,12 +241,8 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
         )
     for n in range(1, n_max + 1):
         diagrams.check_order_cap(n, max_cells)
-        unique = n <= 3
         tasks.append(
-            (
-                f"factorization(n={n})",
-                lambda n=n, u=unique: verify.check_factorization(n, uniqueness=u),
-            )
+            (f"factorization(n={n})", lambda n=n: verify.check_factorization(n))
         )
     for n in range(2, min(n_max, 4) + 1):
         tasks.append(
@@ -260,28 +251,15 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
                 lambda n=n: ideals.check_one_dimensional_ideals(n),
             )
         )
-    for n in (2, 3):
-        if n > n_max:
-            continue
-        for m in (1, 2):
-            if m > m_max:
-                continue
+    for n in range(2, min(n_max, 4) + 1):
+        for m in range(1, min(m_max, 2) + 1):
             tensor.check_tensor_cap(m, n, max_cells)
             tasks.append(
                 (
                     f"tensor-homomorphism(n={n},m={m})",
-                    lambda n=n, m=m: verify.check_tensor_homomorphism(n, m, exhaustive=True),
-                )
-            )
-    if n_max >= 4:
-        for m in (1, 2):
-            if m > m_max:
-                continue
-            tensor.check_tensor_cap(m, 4, max_cells)
-            tasks.append(
-                (
-                    f"tensor-homomorphism(n=4,m={m})",
-                    lambda m=m: verify.check_tensor_homomorphism(4, m, exhaustive=False),
+                    lambda n=n, m=m: verify.check_tensor_homomorphism(
+                        n, m, max_cells=max_cells
+                    ),
                 )
             )
     faithful_pairs = [(k, k) for k in range(1, min(n_max, m_max) + 1)]
@@ -370,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument(
             "--max-cells",
@@ -407,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("specht-dims", cmd_specht_dims, help="Specht module dimensions for all shapes")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("verify-presentation", cmd_verify_presentation, help="check the defining relations")
     p.add_argument("--n", type=int, required=True)

@@ -83,6 +83,16 @@ def generator(n: int, kind: str, i: int) -> Diagram:
     return tuple(img)
 
 
+def generators(n: int) -> tuple[Diagram, ...]:
+    """The 2n-1 monoid generators: s_1 .. s_n-1, then p_1 .. p_n.
+
+    >>> generators(2)
+    ((2, 1), (0, 2), (1, 0))
+    """
+    swaps = [generator(n, "s", i) for i in range(1, n)]
+    return tuple(swaps + [generator(n, "p", i) for i in range(1, n + 1)])
+
+
 def transposition(n: int, i: int, j: int) -> Perm:
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"need distinct i, j in 1..{n}, got {i}, {j}")

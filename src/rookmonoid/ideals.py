@@ -23,26 +23,32 @@ from .algebra import (
     element_coordinates,
     element_from_coordinates,
     full_projector,
-    integer_coordinates,
     symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
 from .caps import DEFAULT_MAX_CELLS
-from .diagrams import all_diagrams, generator, monoid_order, multiply
+from .diagrams import (
+    all_diagrams,
+    diagram_index,
+    generator,
+    generators,
+    monoid_order,
+    multiply,
+)
 from .linalg import SpanBasis, nullspace
 from .reporting import assertion, report
 from .tensor import element_matrix, phi_matrix, phi_rank
-from .verify import DEFAULT_SEED
+
+DEFAULT_SEED = 20260822
 
 
 @lru_cache(maxsize=None)
 def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """Index maps for left and right multiplication by each generator."""
     diags = all_diagrams(n)
-    index = {d: i for i, d in enumerate(diags)}
-    gens = [generator(n, "s", i) for i in range(1, n)]
-    gens += [generator(n, "p", i) for i in range(1, n + 1)]
+    index = diagram_index(n)
+    gens = generators(n)
     maps = [tuple(index[multiply(g, d)] for d in diags) for g in gens]
     maps += [tuple(index[multiply(d, g)] for d in diags) for g in gens]
     return tuple(maps)
@@ -87,7 +93,7 @@ def two_sided_ideal(a: AlgebraElement) -> IdealSpan:
     n = a.n
     maps = _generator_maps(n)
     basis = SpanBasis(monoid_order(n))
-    seed = integer_coordinates(a)
+    seed = element_coordinates(a)
     basis.insert(seed)
     queue: deque[dict[int, int]] = deque([seed])
     while queue:

@@ -171,24 +171,6 @@ def tabloid_index(shape: Shape, n: int) -> dict[Tabloid, int]:
     return {tb: i for i, tb in enumerate(all_tabloids(shape, n))}
 
 
-def act_on_tableau(d: Sequence[int], t: Tableau) -> Tableau | None:
-    """Rename each entry to its top partner in the diagram; ``None`` when an
-    entry has no partner (it sits on an isolated bottom vertex)."""
-    if len(d) != t.n:
-        raise ValueError(f"size mismatch: {len(d)} vs {t.n}")
-    partner = diagrams.star(d)
-    rows = []
-    for row in t.rows:
-        new_row = []
-        for e in row:
-            a = partner[e - 1]
-            if a == 0:
-                return None
-            new_row.append(a)
-        rows.append(tuple(new_row))
-    return Tableau(t.shape, t.n, tuple(rows))
-
-
 def act_on_tabloid(d: Sequence[int], tb: Tabloid, n: int) -> Tabloid | None:
     if len(d) != n:
         raise ValueError(f"size mismatch: {len(d)} vs {n}")
@@ -206,8 +188,8 @@ def act_on_tabloid(d: Sequence[int], tb: Tabloid, n: int) -> Tabloid | None:
 
 
 def act_on_tabloid_vector(
-    a: "AlgebraElement", vec: dict[Tabloid, "Coeff"]
-) -> dict[Tabloid, "Coeff"]:
+    a: AlgebraElement, vec: dict[Tabloid, Coeff]
+) -> dict[Tabloid, Coeff]:
     """Extend the tabloid action linearly to an algebra element."""
     out: dict[Tabloid, Coeff] = {}
     for d, coeff in a.terms.items():

@@ -1,35 +1,34 @@
 """Report-producing checks for the combinatorial layer.
 
 These complement the ideal-theoretic checks: enumeration counts against the
-closed formulas, factorization round-trips and uniqueness, multiplicativity
-of the tensor action, and the squared-dimension count of Specht modules.
+closed formulas, factorization round-trips with the count that makes them
+unique, multiplicativity of the tensor action by a generator certificate,
+and the squared-dimension count of Specht modules.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
+from collections import deque
 
 from . import specht
 from .caps import DEFAULT_MAX_CELLS
 from .diagrams import (
     all_diagrams,
-    all_permutations,
     compose_quadruple,
     coset_reps,
     factorize,
+    generators,
+    identity,
+    is_permutation,
     monoid_order,
     multiply,
-    Quadruple,
     rank_class,
     rank_class_size,
 )
-from .linalg import matmul
+from .linalg import SparseMatrix, matmul
 from .reporting import assertion, report
-from .tensor import diagram_matrix
-
-DEFAULT_SEED = 20260822
+from .tensor import diagram_matrix, tensor_dim
 
 
 def check_counting(n: int) -> dict:
@@ -58,20 +57,18 @@ def check_counting(n: int) -> dict:
     return report("counting", {"n": n}, assertions)
 
 
-def _all_quadruples(n: int):
-    for r in range(n + 1):
-        reps = coset_reps(n, r)
-        fixed = tuple(range(1, r + 1))
-        moving = range(r + 1, n + 1)
-        for d1 in reps:
-            for d2 in reps:
-                for tail in itertools.permutations(moving):
-                    yield Quadruple(d1, d2, r, fixed + tail)
+def check_factorization(n: int) -> dict:
+    """Every diagram has exactly one canonical quadruple.
 
-
-def check_factorization(n: int, *, uniqueness: bool = False) -> dict:
-    """factorize and compose are mutually inverse; optionally confirm by
-    exhaustion that each diagram admits exactly one valid quadruple."""
+    Call a quadruple valid when d1 and d2 lie in ``coset_reps(n, r)`` and
+    sigma is a permutation fixing 1..r; there are
+    sum_r |coset_reps(n, r)|^2 (n-r)! of them.  The round trip
+    compose(factorize(d)) = d makes ``factorize`` injective, the shape check
+    puts its image among the valid quadruples, and the count shows that set
+    has as many elements as there are diagrams.  So ``factorize`` is a
+    bijection onto the valid quadruples, and a valid quadruple composing to
+    d can only be factorize(d).
+    """
     diags = all_diagrams(n)
     bad_roundtrip = []
     bad_shape = []
@@ -83,9 +80,14 @@ def check_factorization(n: int, *, uniqueness: bool = False) -> dict:
         if (
             q.d1 not in reps
             or q.d2 not in reps
+            or not is_permutation(q.sigma)
             or q.sigma[: q.r] != tuple(range(1, q.r + 1))
         ):
             bad_shape.append(list(d))
+    quadruples = sum(
+        len(coset_reps(n, r)) ** 2 * math.factorial(n - r) for r in range(n + 1)
+    )
+    distinct = len(set(diags))
     assertions = [
         assertion(
             "compose inverts factorize on every diagram",
@@ -93,63 +95,69 @@ def check_factorization(n: int, *, uniqueness: bool = False) -> dict:
             bad_roundtrip[:5] if bad_roundtrip else {"diagrams": len(diags)},
         ),
         assertion(
-            "factors are coset representatives fixing 1..r",
+            "factors are coset representatives and sigma a permutation fixing 1..r",
             not bad_shape,
             bad_shape[:5] if bad_shape else None,
         ),
+        assertion(
+            "valid quadruples are as many as diagrams",
+            quadruples == distinct,
+            {"quadruples": quadruples, "diagrams": distinct},
+        ),
     ]
-    if uniqueness:
-        seen: dict = {}
-        collisions = []
-        for q in _all_quadruples(n):
-            d = compose_quadruple(q)
-            if d in seen and seen[d] != q:
-                collisions.append(list(d))
-            seen[d] = q
-        assertions.append(
-            assertion(
-                "each diagram comes from exactly one quadruple",
-                len(seen) == len(diags) and not collisions,
-                collisions[:5] if collisions else {"quadruples": len(diags)},
-            )
-        )
-    return report("factorization", {"n": n, "uniqueness": uniqueness}, assertions)
+    return report("factorization", {"n": n}, assertions)
 
 
 def check_tensor_homomorphism(
-    n: int,
-    m: int,
-    *,
-    exhaustive: bool = True,
-    pairs: int = 1000,
-    seed: int = DEFAULT_SEED,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    n: int, m: int, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> dict:
-    """Matrix of a product equals the product of the matrices."""
-    diags = all_diagrams(n)
-    cache = {d: diagram_matrix(d, m, max_cells=max_cells) for d in diags}
-    if exhaustive:
-        chosen = [(d1, d2) for d1 in diags for d2 in diags]
-    else:
-        rng = random.Random(seed)
-        chosen = [
-            (rng.choice(diags), rng.choice(diags)) for _ in range(pairs)
-        ]
+    """phi(d e) = phi(d) phi(e) for every pair of diagrams, by a generator
+    certificate.
+
+    A breadth-first search from the identity under right multiplication by
+    the 2n-1 generators checks phi(d g) = phi(d) phi(g) for every reached d
+    and every generator g, checks phi(1) = I, and checks that it reaches all
+    |R_n| diagrams.  Then every e is a word in the generators and the
+    generator identity holds for every d, so induction on the length of e
+    gives phi(d e) = phi(d) phi(e) for all d: phi(d 1) = phi(d) I, and if
+    e = e' g with the claim known for e', then
+    phi(d e' g) = phi(d e') phi(g) = phi(d) phi(e') phi(g) = phi(d) phi(e).
+    That is |R_n| (2n-1) products instead of |R_n|^2.
+    """
+    gens = generators(n)
+    one = identity(n)
+    phi = {d: diagram_matrix(d, m, max_cells=max_cells) for d in all_diagrams(n)}
     bad = []
-    for d1, d2 in chosen:
-        if matmul(cache[d1], cache[d2]) != cache[multiply(d1, d2)]:
-            bad.append({"left": list(d1), "right": list(d2)})
+    reached = {one}
+    queue = deque([one])
+    while queue:
+        d = queue.popleft()
+        for g in gens:
+            dg = multiply(d, g)
+            if dg not in reached:
+                reached.add(dg)
+                queue.append(dg)
+            if matmul(phi[d], phi[g]) != phi[dg]:
+                bad.append({"left": list(d), "right": list(g), "product": list(dg)})
+    order = monoid_order(n)
+    dim = tensor_dim(m, n)
     assertions = [
+        assertion(
+            "the identity acts as the identity matrix",
+            phi[one] == SparseMatrix(dim, dim, {(i, i): 1 for i in range(dim)}),
+        ),
+        assertion(
+            "generator products reach every diagram",
+            len(reached) == order,
+            {"reached": len(reached), "order": order},
+        ),
         assertion(
             "diagram matrices multiply like diagrams",
             not bad,
-            bad[:5] if bad else {"pairs_checked": len(chosen), "exhaustive": exhaustive},
-        )
+            bad[:5] if bad else {"products": len(reached) * len(gens)},
+        ),
     ]
-    params = {"n": n, "m": m, "exhaustive": exhaustive}
-    if not exhaustive:
-        params["seed"] = seed
-    return report("tensor-homomorphism", params, assertions)
+    return report("tensor-homomorphism", {"n": n, "m": m}, assertions)
 
 
 def check_specht_dimension_sum(n: int) -> dict:

@@ -19,6 +19,7 @@ from rookmonoid.diagrams import (
 )
 from rookmonoid.ideals import IdealSpan
 from rookmonoid.linalg import SpanBasis, SparseMatrix
+from rookmonoid.specht import Tableau
 
 
 def brute_quadruples(n: int):
@@ -42,6 +43,19 @@ def brute_sign(d: tuple[int, ...]) -> int:
     q = brute_factorize(d)
     ell = perm_length(q.d1) + perm_length(q.sigma) + perm_length(q.d2)
     return -1 if (q.r + ell) % 2 else 1
+
+
+def act_on_tableau(d: tuple[int, ...], t: Tableau) -> Tableau | None:
+    """Rename each entry to its top partner in the diagram; ``None`` when an
+    entry has no partner (it sits on an isolated bottom vertex).  The
+    reference for ``specht.act_on_tabloid``."""
+    if len(d) != t.n:
+        raise ValueError(f"size mismatch: {len(d)} vs {t.n}")
+    partner = {b: a for a, b in enumerate(d, start=1) if b}
+    if any(e not in partner for row in t.rows for e in row):
+        return None
+    rows = tuple(tuple(partner[e] for e in row) for row in t.rows)
+    return Tableau(t.shape, t.n, rows)
 
 
 def standard_tableau_count(shape: tuple[int, ...]) -> int:

@@ -9,7 +9,6 @@ from rookmonoid.algebra import (
     element_coordinates,
     element_from_coordinates,
     full_projector,
-    integer_coordinates,
     symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
@@ -225,12 +224,12 @@ def test_coordinates_roundtrip():
     a = symmetrizer((1, 2), n)
     v = element_coordinates(a)
     assert element_from_coordinates(n, v) == a
-    ints = integer_coordinates(a)
-    assert all(isinstance(c, int) for c in ints.values())
-    assert set(ints.values()) == {1, -1, 2}
-    # a strictly fractional element clears to integers
+    assert all(isinstance(c, int) for c in v.values())
+    assert set(v.values()) == {1, -1, 2}
+    # a strictly fractional element keeps its exact coordinates
     half = a.scale(Fraction(1, 2))
-    assert set(integer_coordinates(half).values()) == {1, -1, 2}
+    assert element_coordinates(half) == {i: Fraction(c, 2) for i, c in v.items()}
+    assert element_from_coordinates(n, element_coordinates(half)) == half
 
 
 def test_mul_matches_diagram_table():

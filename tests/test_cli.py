@@ -166,6 +166,13 @@ def test_verify_all_refuses_large_order(capsys):
     assert captured.out == ""
 
 
+def test_format_is_only_on_specht_dims(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--diagram", "1,2", "--diagram", "2,1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_usage_error_bad_diagram(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sign", "--diagram", "5,1"])

@@ -6,7 +6,7 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.diagrams import all_diagrams, monoid_order, rank, rank_class_size
+from rookmonoid.diagrams import all_diagrams, rank, rank_class_size
 from rookmonoid.ideals import (
     annihilator_dimension_formula,
     block_ideal,

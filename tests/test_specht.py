@@ -14,7 +14,6 @@ from rookmonoid.diagrams import (
 )
 from rookmonoid.specht import (
     Tableau,
-    act_on_tableau,
     act_on_tabloid,
     act_on_tabloid_vector,
     all_shapes,
@@ -33,7 +32,7 @@ from rookmonoid.specht import (
     tabloid_of,
 )
 
-from oracles import standard_tableau_count
+from oracles import act_on_tableau, standard_tableau_count
 
 
 def test_partitions_counts():

@@ -1,6 +1,8 @@
 import json
 
-from rookmonoid.diagrams import verify_presentation
+from rookmonoid import verify
+from rookmonoid.diagrams import all_diagrams, monoid_order, verify_presentation
+from rookmonoid.linalg import SparseMatrix
 from rookmonoid.reporting import jsonable
 from rookmonoid.verify import (
     check_counting,
@@ -8,6 +10,8 @@ from rookmonoid.verify import (
     check_specht_dimension_sum,
     check_tensor_homomorphism,
 )
+
+import oracles
 
 
 def _well_formed(rep):
@@ -42,26 +46,72 @@ def test_presentation_reports():
 
 
 def test_factorization_reports():
-    for n in (1, 2, 3):
-        rep = check_factorization(n, uniqueness=True)
+    for n in (1, 2, 3, 4):
+        rep = check_factorization(n)
         assert rep["pass"], rep
         _well_formed(rep)
-    rep = check_factorization(4)
-    assert rep["pass"], rep
+        # the counted quadruples are the ones the oracle enumerates
+        witness = rep["assertions"][-1]["witness"]
+        assert witness["quadruples"] == len(list(oracles.brute_quadruples(n)))
+        assert witness["quadruples"] == witness["diagrams"] == monoid_order(n)
 
 
 def test_tensor_homomorphism_exhaustive():
     for n, m in ((1, 1), (2, 1), (2, 2), (3, 1)):
-        rep = check_tensor_homomorphism(n, m, exhaustive=True)
+        rep = check_tensor_homomorphism(n, m)
         assert rep["pass"], rep
         _well_formed(rep)
+        witness = rep["assertions"][-1]["witness"]
+        assert witness == {"products": monoid_order(n) * (2 * n - 1)}
 
 
-def test_tensor_homomorphism_sampled_is_deterministic():
-    rep1 = check_tensor_homomorphism(4, 1, exhaustive=False, pairs=50, seed=11)
-    rep2 = check_tensor_homomorphism(4, 1, exhaustive=False, pairs=50, seed=11)
-    assert rep1 == rep2
-    assert rep1["pass"], rep1
+def test_tensor_homomorphism_catches_a_corrupted_diagram(monkeypatch):
+    # (0, 0, 1) is no generator, so only the products reveal it
+    corrupt = (0, 0, 1)
+    real = verify.diagram_matrix
+
+    def broken(d, m, **kwargs):
+        mat = real(d, m, **kwargs)
+        if d == corrupt:
+            mat = SparseMatrix(mat.rows, mat.cols, {**mat.entries, (0, 1): 1})
+        return mat
+
+    monkeypatch.setattr(verify, "diagram_matrix", broken)
+    rep = check_tensor_homomorphism(3, 1)
+    assert not rep["pass"]
+    failed = [a for a in rep["assertions"] if not a["pass"]]
+    assert [a["name"] for a in failed] == ["diagram matrices multiply like diagrams"]
+    assert any(w["product"] == list(corrupt) for w in failed[0]["witness"])
+    assert all(list(corrupt) in (w["left"], w["product"]) for w in failed[0]["witness"])
+
+
+def test_factorization_catches_a_wrong_sigma(monkeypatch):
+    target = (3, 1, 2)
+    real = verify.factorize
+
+    def broken(d):
+        q = real(d)
+        if d == target:
+            q = q._replace(sigma=(2, 1, 3))
+        return q
+
+    assert real(target).sigma != (2, 1, 3)
+    monkeypatch.setattr(verify, "factorize", broken)
+    rep = check_factorization(3)
+    assert not rep["pass"]
+    failed = [a for a in rep["assertions"] if not a["pass"]]
+    assert [a["name"] for a in failed] == ["compose inverts factorize on every diagram"]
+    assert failed[0]["witness"] == [list(target)]
+
+
+def test_factorization_count_catches_a_missing_diagram(monkeypatch):
+    # with one diagram left out, some valid quadruple composes to nothing listed
+    monkeypatch.setattr(verify, "all_diagrams", lambda n: all_diagrams(n)[1:])
+    rep = check_factorization(3)
+    assert not rep["pass"]
+    failed = [a for a in rep["assertions"] if not a["pass"]]
+    assert [a["name"] for a in failed] == ["valid quadruples are as many as diagrams"]
+    assert failed[0]["witness"] == {"quadruples": 34, "diagrams": 33}
 
 
 def test_specht_dimension_sum_reports():
