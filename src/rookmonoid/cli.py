@@ -16,7 +16,7 @@ import sys
 from . import diagrams, ideals, specht, tensor, verify
 from .algebra import antisymmetrizer, symmetrizer, tableau_quasi_idempotent
 from .caps import DEFAULT_MAX_CELLS, SizeCapError
-from .reporting import jsonable
+from .reporting import assertion, jsonable, report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -94,8 +94,14 @@ def cmd_mul(args, parser) -> int:
     return EXIT_PASS
 
 
+def _one_diagram(args, parser) -> diagrams.Diagram:
+    if len(args.diagram) != 1:
+        parser.error(f"{args.command} needs exactly one --diagram argument")
+    return _parse_diagram(args.diagram[0], parser)
+
+
 def cmd_factorize(args, parser) -> int:
-    d = _parse_diagram(args.diagram[0], parser)
+    d = _one_diagram(args, parser)
     if args.n is not None and args.n != len(d):
         parser.error(f"--n {args.n} does not match diagram size {len(d)}")
     q = diagrams.factorize(d)
@@ -113,7 +119,7 @@ def cmd_factorize(args, parser) -> int:
 
 
 def cmd_sign(args, parser) -> int:
-    d = _parse_diagram(args.diagram[0], parser)
+    d = _one_diagram(args, parser)
     _emit(
         {
             "diagram": list(d),
@@ -197,17 +203,11 @@ def cmd_verify_presentation(args, parser) -> int:
 
 
 def cmd_verify_blocks(args, parser) -> int:
-    exhaustive = True if args.exhaustive else None
-    return _report_exit(
-        ideals.check_block_decomposition(args.n, exhaustive=exhaustive), args
-    )
+    return _report_exit(ideals.check_block_decomposition(args.n), args)
 
 
 def cmd_verify_orthogonality(args, parser) -> int:
-    exhaustive = True if args.exhaustive else None
-    return _report_exit(
-        ideals.check_specht_orthogonality(args.n, exhaustive=exhaustive), args
-    )
+    return _report_exit(ideals.check_specht_orthogonality(args.n), args)
 
 
 def cmd_verify_schur_weyl(args, parser) -> int:
@@ -224,7 +224,7 @@ def cmd_verify_absorption(args, parser) -> int:
     return _report_exit(ideals.check_absorption(args.m, args.n), args)
 
 
-def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
+def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
     """The task grid, with every size-capped resource checked up front."""
     if n_max < 2 or m_max < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
@@ -286,12 +286,8 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
                 )
             )
     for n in range(2, min(n_max, 4) + 1):
-        flag = True if exhaustive else None
         tasks.append(
-            (
-                f"blocks(n={n})",
-                lambda n=n, f=flag: ideals.check_block_decomposition(n, exhaustive=f),
-            )
+            (f"blocks(n={n})", lambda n=n: ideals.check_block_decomposition(n))
         )
     for n in range(2, min(n_max, 3) + 1):
         tasks.append(
@@ -320,23 +316,16 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int, exhaustive: bool):
 
 def cmd_verify_all(args, parser) -> int:
     try:
-        tasks = _verify_all_tasks(args.n, args.m, args.max_cells, args.exhaustive)
+        tasks = _verify_all_tasks(args.n, args.m, args.max_cells)
     except ValueError as exc:
         parser.error(str(exc))
     assertions = []
     for name, thunk in tasks:
-        rep = thunk()
-        witness = None
-        if not rep["pass"]:
-            witness = [a["name"] for a in rep["assertions"] if not a["pass"]]
-        assertions.append({"name": name, "pass": rep["pass"], "witness": witness})
-    rep = {
-        "check": "verify-all",
-        "params": {"n": args.n, "m": args.m, "max_cells": args.max_cells},
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-    }
-    return _report_exit(rep, args)
+        sub = thunk()
+        failed = [a["name"] for a in sub["assertions"] if not a["pass"]]
+        assertions.append(assertion(name, sub["pass"], failed or None))
+    params = {"n": args.n, "m": args.m, "max_cells": args.max_cells}
+    return _report_exit(report("verify-all", params, assertions), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,11 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-blocks", cmd_verify_blocks, help="block ideal decomposition")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true", help="disable sampling fallbacks")
 
     p = add("verify-lemma-3-10", cmd_verify_orthogonality, help="quasi-idempotents kill other shapes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true", help="disable sampling fallbacks")
 
     p = add("verify-schur-weyl", cmd_verify_schur_weyl, help="annihilator of the tensor action")
     p.add_argument("--n", type=int, required=True)
@@ -408,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-all", cmd_verify_all, help="run the whole verification grid")
     p.add_argument("--n", type=int, default=3, help="largest diagram size")
     p.add_argument("--m", type=int, default=2, help="largest number of unmarked basis vectors")
-    p.add_argument("--exhaustive", action="store_true", help="disable sampling fallbacks")
 
     return parser
 

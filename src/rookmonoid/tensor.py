@@ -15,6 +15,7 @@ sum of i_j (m+1)^(n-j).
 from __future__ import annotations
 
 import itertools
+from math import comb, factorial
 from typing import Sequence
 
 from .algebra import AlgebraElement
@@ -29,11 +30,23 @@ def tensor_dim(m: int, n: int) -> int:
     return (m + 1) ** n
 
 
+def phi_entry_count(m: int, n: int) -> int:
+    """Nonzero entries of phi: each of the C(n,k)^2 k! diagrams of rank k
+    has (m+1)^k."""
+    return sum(comb(n, k) ** 2 * factorial(k) * (m + 1) ** k for k in range(n + 1))
+
+
 def check_tensor_cap(m: int, n: int, max_cells: int) -> None:
-    """Refuse tensor matrices with more than ``max_cells`` cells."""
+    """Refuse tensor matrices with more than ``max_cells`` cells, and phi
+    with more than ``max_cells`` nonzero entries."""
     check_cap(
         f"tensor matrix cells (m+1)^(2n) at m={m}, n={n}",
         tensor_dim(m, n) ** 2,
+        max_cells,
+    )
+    check_cap(
+        f"phi matrix entries sum_k C(n,k)^2 k! (m+1)^k at m={m}, n={n}",
+        phi_entry_count(m, n),
         max_cells,
     )
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_mul_needs_two_diagrams(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--diagram", "2,1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["factorize", "sign"])
+def test_one_diagram_commands_refuse_two(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--diagram", "1,2", "--diagram", "2,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "exactly one --diagram" in captured.err
+    assert captured.out == ""
 
 
 def test_factorize_roundtrip(capsys):
@@ -147,6 +158,28 @@ def test_cap_exit_code(capsys):
     code = main(["verify-schur-weyl", "--n", "99", "--m", "1"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("m, n", [(2, 7), (1, 8)])
+def test_cap_counts_phi_entries(m, n, capsys):
+    # few enough cells to pass the cell count, but tens of millions of phi entries
+    started = time.monotonic()
+    code = main(["verify-schur-weyl", "--m", str(m), "--n", str(n)])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refusing" in captured.err
+    assert "phi matrix entries" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["verify-blocks", "verify-lemma-3-10", "verify-all"])
+def test_exhaustive_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--exhaustive"])
+    assert exc.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_cap_message_on_stderr(capsys):

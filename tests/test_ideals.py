@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from rookmonoid import ideals
 from rookmonoid.algebra import (
     AlgebraElement,
     full_projector,
@@ -109,6 +110,9 @@ def test_block_decomposition_report():
     assert rep["pass"], rep
     rep = check_block_decomposition(3)
     assert rep["pass"], rep
+    # every ordered pair of basis elements from distinct blocks: 34^2 - sum d^4
+    assert rep["assertions"][-1]["witness"] == {"pairs_checked": 894, "exhaustive": True}
+    assert rep["params"]["exhaustive"] is True
 
 
 def test_specht_orthogonality_report():
@@ -116,6 +120,30 @@ def test_specht_orthogonality_report():
         rep = check_specht_orthogonality(n)
         assert rep["pass"], rep
         assert rep["check"] == "verify-lemma-3-10"
+        assert set(rep["params"]) == {"n", "seed"}
+    # at n = 3 no shape has more tableaux than the sampling threshold
+    checked = [
+        a["witness"]["tableaux_checked"]
+        for a in rep["assertions"]
+        if a["name"].endswith("kills the other shapes")
+    ]
+    assert checked == [1, 3, 6, 6, 6, 6, 6]
+
+
+def test_specht_orthogonality_catches_a_quasi_idempotent_that_kills_nothing(
+    monkeypatch,
+):
+    # the identity kills no nonzero vector, so every shape must fail, which
+    # an empty or mis-mapped Specht basis would hide
+    monkeypatch.setattr(
+        ideals, "tableau_quasi_idempotent", lambda t: AlgebraElement.one(t.n)
+    )
+    rep = check_specht_orthogonality(3)
+    kills = [a for a in rep["assertions"] if a["name"].endswith("kills the other shapes")]
+    assert len(kills) == len(all_shapes(3))
+    for a in kills:
+        assert not a["pass"], a
+        assert a["witness"] and all("tableau" in w for w in a["witness"])
 
 
 def test_absorption_report():

@@ -18,6 +18,7 @@ from rookmonoid.tensor import (
     annihilator_basis,
     diagram_matrix,
     element_matrix,
+    phi_entry_count,
     phi_matrix,
     phi_rank,
     tensor_dim,
@@ -209,6 +210,11 @@ def test_rank_nullity_across_phi():
         assert phi_rank(m, n) + annihilator_basis(m, n).dimension == monoid_order(n)
 
 
+def test_phi_entry_count_matches_phi():
+    for m, n in ((1, 3), (2, 3), (3, 3), (1, 4)):
+        assert phi_entry_count(m, n) == len(phi_matrix(m, n).entries), (m, n)
+
+
 def test_size_cap_refusal():
     with pytest.raises(SizeCapError) as exc:
         diagram_matrix(identity(12), 9)
@@ -216,5 +222,9 @@ def test_size_cap_refusal():
     assert "exceeds the size cap" in str(exc.value)
     with pytest.raises(SizeCapError):
         phi_matrix(9, 12)
+    # 65536 cells but 101,817,089 entries
+    with pytest.raises(SizeCapError) as exc:
+        phi_matrix(1, 8)
+    assert "phi matrix entries" in str(exc.value)
     # generous cap override allows small cases
     assert rank(diagram_matrix(identity(2), 1, max_cells=10**9)) == 4
