@@ -1,0 +1,82 @@
+"""Time the level-by-level annihilator check from the command line.
+
+Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
+(n = 6 for m = 1..5, then (1, 5) and (2, 5)), one at a time, and records its
+wall time, exit code, pass flag and the per-level dimensions of ann_k and
+I_k from the report.  A second interpreter times the Specht count
+(``annihilator_dimension_formula``) alone, the part of the check that does
+not run level by level.  Also times the refusals at (2, 7) and (1, 8).  Writes
+the result as JSON:
+
+    python3 scripts/bench_levels.py BENCH_levels.json
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = [(m, 6) for m in range(1, 6)] + [(1, 5), (2, 5)]
+REFUSED = [(2, 7), (1, 8)]
+
+
+FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
+
+
+def run(m: int, n: int, *, formula_only: bool = False) -> tuple[float, subprocess.CompletedProcess]:
+    """One fresh interpreter: the whole check, or only its Specht count."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    if formula_only:
+        argv = [sys.executable, "-c", FORMULA.format(m=m, n=n)]
+    else:
+        argv = [sys.executable, "-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n)]
+    started = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+    return time.perf_counter() - started, proc
+
+
+def main(out: str) -> int:
+    cases = []
+    for m, n in CASES:
+        wall, proc = run(m, n)
+        rep = json.loads(proc.stdout)
+        fills = next(a for a in rep["assertions"] if a["name"] == "ideal fills the annihilator")
+        cases.append({
+            "m": m,
+            "n": n,
+            "wall_s": round(wall, 2),
+            "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
+            "exit_code": proc.returncode,
+            "pass": rep["pass"],
+            "annihilator": fills["witness"]["annihilator"],
+            "dim_ann_k": fills["witness"]["annihilator_by_level"],
+            "dim_I_k": fills["witness"]["ideal_by_level"],
+        })
+        print(json.dumps(cases[-1]), file=sys.stderr)
+    refused = []
+    for m, n in REFUSED:
+        wall, proc = run(m, n)
+        refused.append({"m": m, "n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode,
+                        "stderr": proc.stderr.strip()})
+    record = {
+        "command": "python3 scripts/bench_levels.py BENCH_levels.json",
+        "machine": {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "cases": cases,
+        "refused": refused,
+    }
+    Path(out).write_text(json.dumps(record, indent=2) + "\n")
+    return 0 if all(c["exit_code"] == 0 for c in cases) and all(r["exit_code"] == 3 for r in refused) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_levels.json"))

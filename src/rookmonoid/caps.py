@@ -8,6 +8,8 @@ the cap explicitly.
 
 from __future__ import annotations
 
+from math import comb, factorial
+
 DEFAULT_MAX_CELLS = 10_000_000
 
 
@@ -24,3 +26,32 @@ class SizeCapError(RuntimeError):
 def check_cap(quantity: str, value: int, cap: int = DEFAULT_MAX_CELLS) -> None:
     if value > cap:
         raise SizeCapError(quantity, value, cap)
+
+
+def growth_word_count(m: int, k: int) -> int:
+    """Restricted growth strings of length k on at most m letters: the sum
+    of the Stirling numbers S(k, j) over j <= m."""
+    row = [1]  # S(i, j) for j = 0..i, from i = 0
+    for i in range(1, k + 1):
+        prev = row + [0]
+        row = [0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)]
+    return sum(row[: m + 1])
+
+
+def level_work(m: int, n: int) -> int:
+    """Entries the level-by-level annihilator check stores at (m, n).
+
+    The basis-change certificate holds 2^k Moebius terms for each of the
+    C(n,k)^2 k! diagrams of rank k.  Level k has k! columns: the
+    annihilator matrix has one entry per input word and permutation, and
+    the ideal's echelon rows at most k! * k! cells.
+    """
+    return sum(
+        comb(n, k) ** 2 * factorial(k) * 2**k
+        + factorial(k) * (growth_word_count(m, k) + factorial(k))
+        for k in range(n + 1)
+    )
+
+
+def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    check_cap(f"groupoid level work at m={m}, n={n}", level_work(m, n), max_cells)

@@ -15,7 +15,7 @@ import sys
 
 from . import diagrams, ideals, specht, tensor, verify
 from .algebra import antisymmetrizer, symmetrizer, tableau_quasi_idempotent
-from .caps import DEFAULT_MAX_CELLS, SizeCapError
+from .caps import DEFAULT_MAX_CELLS, SizeCapError, check_level_cap
 from .reporting import assertion, jsonable, report
 
 EXIT_PASS = 0
@@ -275,8 +275,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
         )
     for n in range(2, n_max + 1):
         for m in range(1, min(n - 1, m_max) + 1):
-            tensor.check_tensor_cap(m, n, max_cells)
-            diagrams.check_order_cap(n, max_cells)
+            check_level_cap(m, n, max_cells)
             tasks.append(
                 (
                     f"annihilator(m={m},n={n})",

@@ -93,14 +93,6 @@ def generators(n: int) -> tuple[Diagram, ...]:
     return tuple(swaps + [generator(n, "p", i) for i in range(1, n + 1)])
 
 
-def transposition(n: int, i: int, j: int) -> Perm:
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"need distinct i, j in 1..{n}, got {i}, {j}")
-    img = list(identity(n))
-    img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
-    return tuple(img)
-
-
 def multiply(d1: Sequence[int], d2: Sequence[int]) -> Diagram:
     """Compose two diagrams, d1 acting first.
 
@@ -126,15 +118,6 @@ def star(d: Sequence[int]) -> Diagram:
 
 def rank(d: Sequence[int]) -> int:
     return sum(1 for b in d if b)
-
-
-def isolated_top(d: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a for a, b in enumerate(d, start=1) if b == 0)
-
-
-def isolated_bottom(d: Sequence[int]) -> tuple[int, ...]:
-    hit = set(d)
-    return tuple(b for b in range(1, len(d) + 1) if b not in hit)
 
 
 def monoid_order(n: int) -> int:
@@ -191,6 +174,18 @@ def diagram_index(n: int) -> dict[Diagram, int]:
 
 def all_permutations(n: int) -> tuple[Perm, ...]:
     return tuple(sorted(itertools.permutations(range(1, n + 1))))
+
+
+def multiplication_maps(
+    elements: Sequence[Diagram], left: Sequence[Diagram], right: Sequence[Diagram]
+) -> tuple[tuple[int, ...], ...]:
+    """Index maps on ``elements`` of left multiplication by each of ``left``,
+    then right multiplication by each of ``right``; ``elements`` must be
+    closed under them."""
+    index = {d: i for i, d in enumerate(elements)}
+    maps = [tuple(index[multiply(g, d)] for d in elements) for g in left]
+    maps += [tuple(index[multiply(d, g)] for d in elements) for g in right]
+    return tuple(maps)
 
 
 def coset_reps(n: int, r: int) -> tuple[Perm, ...]:

@@ -1,0 +1,199 @@
+"""The groupoid (Moebius) basis of the monoid algebra, level by level.
+
+For a diagram d set  floor(d) = sum over t <= d of (-1)^(rk d - rk t) t,
+where t <= d means t is d with some edges removed.  Then
+floor(d) floor(e) = floor(d e) when ran d = dom e, and 0 otherwise, so
+floor(d) -> E(dom d, ran d) (x) sigma_d is an algebra isomorphism
+
+    F R_n  =  direct sum over k of  M_{C(n,k)}(F S_k).
+
+Here sigma_d in S_k is d read through the order-preserving relabellings of
+dom d and ran d onto 1..k, composed like ``diagrams.multiply``.  Moebius
+inversion gives d = sum over t <= d of floor(t), so an element
+y = sum c_d d has coordinates  y^(t) = sum over d >= t of c_d.  (B. Steinberg,
+"Moebius functions and semigroup representation theory", J. Combin. Theory
+Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)
+
+Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
+out the marked vector; its kernel is computed on one input word per
+relabelling orbit of letters.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from math import factorial
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from .algebra import AlgebraElement
+from .diagrams import (
+    Diagram,
+    Perm,
+    all_diagrams,
+    all_permutations,
+    diagram_index,
+    generator,
+    generators,
+    identity,
+    multiplication_maps,
+    multiply,
+)
+from .linalg import SpanBasis, SparseMatrix, apply_map, nullspace, saturate
+
+Block = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
+
+
+def restrictions(d: Sequence[int]) -> Iterator[tuple[Diagram, int]]:
+    """Every t <= d, with the number of edges removed from d."""
+    live = [a for a, b in enumerate(d) if b]
+    for r in range(len(live) + 1):
+        for cut in itertools.combinations(live, r):
+            img = list(d)
+            for a in cut:
+                img[a] = 0
+            yield tuple(img), r
+
+
+def mobius_vector(d: Sequence[int], index: Mapping[Diagram, int]) -> dict[int, int]:
+    """floor(d) in diagram coordinates."""
+    return {index[t]: -1 if r % 2 else 1 for t, r in restrictions(d)}
+
+
+@lru_cache(maxsize=None)
+def basis_change_failures(
+    n: int,
+) -> tuple[tuple[tuple[Diagram, Diagram], ...], bool]:
+    """Certificate that floor is an isomorphism onto the matrix algebras.
+
+    Returns the pairs (d, g) with floor(d) g != floor(d g) when ran d lies
+    in dom g, or != 0 otherwise, over every diagram d and each of the 2n-1
+    generators g, and whether 1 = sum over A of floor(id_A).  No pairs and
+    True mean certified.
+
+    The generators reach every diagram (``check_tensor_homomorphism``), so
+    induction on the length of e extends the generator rule to
+    floor(d) e = floor(d e) when ran d lies in dom e, and 0 otherwise.
+    Expanding floor(e) = sum over t <= e of +-t, the surviving t have
+    ran d <= dom t <= dom e and d t = d e, and their signs cancel unless
+    ran d = dom e: that is the product rule.  The unit check makes the
+    isomorphism unital.
+    """
+    diags = all_diagrams(n)
+    index = diagram_index(n)
+    gens = generators(n)
+    right = multiplication_maps(diags, (), gens)
+    floor = [mobius_vector(d, index) for d in diags]
+    bad = []
+    for i, d in enumerate(diags):
+        ran = set(d) - {0}
+        for g, tau in zip(gens, right):
+            inside = all(g[b - 1] for b in ran)
+            expect = floor[index[multiply(d, g)]] if inside else {}
+            if apply_map(tau, floor[i]) != expect:
+                bad.append((d, g))
+    one = identity(n)
+    unit: dict[int, int] = {}
+    for t, _ in restrictions(one):
+        for j, c in floor[index[t]].items():
+            unit[j] = unit.get(j, 0) + c
+    return tuple(bad), {j: c for j, c in unit.items() if c} == {index[one]: 1}
+
+
+def relabel(t: Sequence[int]) -> Perm:
+    """sigma_t: t read through the order-preserving relabellings of its
+    domain and range onto 1..k."""
+    slot = {b: j for j, b in enumerate(sorted(b for b in t if b), start=1)}
+    return tuple(slot[b] for b in t if b)
+
+
+@lru_cache(maxsize=None)
+def _perm_index(k: int) -> dict[Perm, int]:
+    return {w: i for i, w in enumerate(all_permutations(k))}
+
+
+def level_blocks(y: AlgebraElement) -> list[Block]:
+    """The level-k blocks of y in the groupoid basis, k = 0..n.
+
+    Block k maps (dom, ran) to the entry sum of y^(t) sigma_t over the t of
+    rank k with that domain and range, in the coordinates of
+    ``all_permutations(k)``; zero entries are left out.
+    """
+    hat: dict[Diagram, int] = {}
+    for d, c in y.terms.items():
+        for t, _ in restrictions(d):
+            hat[t] = hat.get(t, 0) + c
+    blocks: list[Block] = [{} for _ in range(y.n + 1)]
+    for t, c in hat.items():
+        if not c:
+            continue
+        dom = tuple(a for a, b in enumerate(t, start=1) if b)
+        ran = tuple(sorted(b for b in t if b))
+        sigma = relabel(t)
+        entry = blocks[len(dom)].setdefault((dom, ran), {})
+        entry[_perm_index(len(dom))[sigma]] = c
+    return blocks
+
+
+def growth_words(m: int, k: int) -> list[tuple[int, ...]]:
+    """One word in {1..m}^k per orbit of letter relabelling: the restricted
+    growth strings, whose letters first appear in the order 1, 2, 3, ..."""
+    words: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        words = [
+            w + (a,)
+            for w in words
+            for a in range(1, min(m, max(w, default=0) + 1) + 1)
+        ]
+    return words
+
+
+@lru_cache(maxsize=None)
+def _word_rows(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """For each growth word u, the row of each permutation's output word
+    u o sigma, rows numbered over all (input, output) pairs.
+
+    Relabelling letters commutes with S_k, so x kills v_u exactly when it
+    kills every word in u's orbit: these inputs decide the kernel.
+    """
+    rows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    return tuple(
+        tuple(
+            rows.setdefault((u, tuple(u[s - 1] for s in sigma)), len(rows))
+            for sigma in all_permutations(k)
+        )
+        for u in growth_words(m, k)
+    )
+
+
+@lru_cache(maxsize=None)
+def level_annihilator(m: int, k: int) -> tuple[dict[int, int], ...]:
+    """A basis of ann_k, the kernel of F S_k acting on V^(x)k with
+    dim V = m.  Cached; treat as read-only."""
+    table = _word_rows(m, k)
+    entries = {(r, j): 1 for row in table for j, r in enumerate(row)}
+    height = 1 + max((r for row in table for r in row), default=-1)
+    return tuple(nullspace(SparseMatrix(height, factorial(k), entries)))
+
+
+def acts_as_zero(m: int, k: int, x: Mapping[int, int]) -> bool:
+    """Whether x in F S_k kills V^(x)k, that is, lies in ann_k."""
+    for row in _word_rows(m, k):
+        out: dict[int, int] = {}
+        for j, c in x.items():
+            out[row[j]] = out.get(row[j], 0) + c
+        if any(out.values()):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _swap_maps(k: int) -> tuple[tuple[int, ...], ...]:
+    swaps = [generator(k, "s", i) for i in range(1, k)]
+    return multiplication_maps(all_permutations(k), swaps, swaps)
+
+
+def level_ideal(k: int, seeds: Iterable[Mapping[int, int]]) -> SpanBasis:
+    """The two-sided ideal of F S_k generated by ``seeds``: their span
+    saturated under the adjacent swaps on both sides."""
+    return saturate(factorial(k), _swap_maps(k), seeds)

@@ -11,10 +11,9 @@ generator acts on coordinates as a precomputed index map.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import specht
 from .algebra import (
@@ -27,18 +26,24 @@ from .algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from .caps import DEFAULT_MAX_CELLS
+from .caps import DEFAULT_MAX_CELLS, check_level_cap
 from .diagrams import (
     all_diagrams,
-    diagram_index,
-    generator,
     generators,
+    is_permutation,
     monoid_order,
-    multiply,
+    multiplication_maps,
 )
-from .linalg import SpanBasis, nullspace
+from .groupoid import (
+    acts_as_zero,
+    basis_change_failures,
+    level_annihilator,
+    level_blocks,
+    level_ideal,
+)
+from .linalg import SpanBasis, saturate
 from .reporting import assertion, report
-from .tensor import element_matrix, phi_matrix, phi_rank
+from .tensor import phi_rank
 
 DEFAULT_SEED = 20260822
 SAMPLE_PAIRS = 300
@@ -47,24 +52,8 @@ SAMPLE_PAIRS = 300
 @lru_cache(maxsize=None)
 def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """Index maps for left and right multiplication by each generator."""
-    diags = all_diagrams(n)
-    index = diagram_index(n)
     gens = generators(n)
-    maps = [tuple(index[multiply(g, d)] for d in diags) for g in gens]
-    maps += [tuple(index[multiply(d, g)] for d in diags) for g in gens]
-    return tuple(maps)
-
-
-def _apply_map(tau: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, c in vec.items():
-        j = tau[i]
-        acc = out.get(j, 0) + c
-        if acc:
-            out[j] = acc
-        else:
-            out.pop(j, None)
-    return out
+    return multiplication_maps(all_diagrams(n), gens, gens)
 
 
 @dataclass
@@ -84,25 +73,13 @@ class IdealSpan:
 def two_sided_ideal(a: AlgebraElement) -> IdealSpan:
     """Saturate the span of ``a`` under both-sided generator multiplication.
 
-    Breadth-first: each vector that grew the span is queued once, and every
-    generator image of it is inserted when it leaves the queue.  The queued
-    vectors span the basis, so once the queue is empty the span is closed
-    under the generators, hence under the whole monoid: it is the ideal.
+    The saturated span is closed under the generators, hence under the
+    whole monoid: it is the ideal.
     """
     if a.is_zero():
         raise ValueError("the zero element generates the zero ideal")
     n = a.n
-    maps = _generator_maps(n)
-    basis = SpanBasis(monoid_order(n))
-    seed = element_coordinates(a)
-    basis.insert(seed)
-    queue: deque[dict[int, int]] = deque([seed])
-    while queue:
-        vec = queue.popleft()
-        for tau in maps:
-            image = _apply_map(tau, vec)
-            if basis.insert(image):
-                queue.append(image)
+    basis = saturate(monoid_order(n), _generator_maps(n), [element_coordinates(a)])
     return IdealSpan(n, a, basis)
 
 
@@ -134,7 +111,6 @@ def check_one_dimensional_ideals(n: int) -> dict:
         ("antisymmetrizer", antisymmetrizer(everything, n), {"s": -1, "p": 0}),
         ("projector", full_projector(n), {"s": 1, "p": 1}),
     ]
-    gens = [("s", i) for i in range(1, n)] + [("p", i) for i in range(1, n + 1)]
     assertions = []
     for name, elem, eigen in cases:
         dim = two_sided_ideal(elem).dimension
@@ -142,8 +118,11 @@ def check_one_dimensional_ideals(n: int) -> dict:
             assertion(f"{name} ideal is one-dimensional", dim == 1, {"dim": dim})
         )
         bad = []
-        for kind, i in gens:
-            g = AlgebraElement.from_diagram(generator(n, kind, i))
+        for d in generators(n):
+            kind = "s" if is_permutation(d) else "p"
+            # s_i and p_i both first move vertex i
+            i = next(a for a, b in enumerate(d, start=1) if a != b)
+            g = AlgebraElement.from_diagram(d)
             expect = elem.scale(eigen[kind])
             if g * elem != expect or elem * g != expect:
                 bad.append(f"{kind}_{i}")
@@ -331,39 +310,92 @@ def check_annihilator_ideal(
     m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> dict:
     """The annihilator of the tensor power is the two-sided ideal generated
-    by the top antisymmetrizer on m+1 vertices.
+    by the top antisymmetrizer Y on m+1 vertices.
 
-    Both sides are computed independently: the annihilator as the kernel of
-    the representation matrix, the ideal by saturation.  The kernel vectors
-    are independent by construction, so their count is the annihilator's
-    dimension, which is also compared with the Specht-module count of shapes
-    with more than m rows.  Every kernel vector lying in the ideal, plus equal
-    dimensions, is equality of subspaces.
+    The check runs level by level in the groupoid basis, under which F R_n
+    is the sum over k of M_{C(n,k)}(F S_k); ``basis_change_failures``
+    certifies that isomorphism at n.
+
+    Tensor side: if v_w has its nonzero digits exactly on S, then
+    phi(floor(d)) v_w = [S = ran d] phi(d) v_w.  For phi(t) v_w is nonzero
+    only when S lies in ran t, and then equals phi(d) v_w for every t <= d,
+    since an edge of d missing from t carries digit 0 either way.  Those t
+    match the sets R with S <= R <= ran d, so
+    phi(floor(d)) v_w = phi(d) v_w * sum of (-1)^(|ran d| - |R|), which is
+    phi(d) v_w when S = ran d and 0 otherwise.  Reading the digits on the
+    support as a word in {1..m}^k, floor(t) moves support ran t to dom t and
+    acts on the word as sigma_t acts on V^(x)k.  So the annihilator is the
+    sum over k of M(ann_k), ann_k the kernel of F S_k on V^(x)k.
+
+    Ideal side: in a product of matrix algebras over unital rings, the
+    ideal Y generates is the sum over k of M(I_k), I_k the ideal of F S_k
+    generated by the entries of Y's level-k block.
+
+    So the claim holds exactly when I_k = ann_k for every k <= n.  ann_k is
+    an ideal, so block entries inside ann_k give I_k <= ann_k; every basis
+    vector of ann_k lying in I_k gives the reverse, and the dimensions must
+    agree level by level.  Totals weigh level k by C(n,k)^2 and are compared
+    with the Specht-module count of shapes with more than m rows.
     """
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    y = top_antisymmetrizer(m + 1, n)
-    killed = element_matrix(y, m, max_cells=max_cells).is_zero()
-    kernel = nullspace(phi_matrix(m, n, max_cells=max_cells))
+    check_level_cap(m, n, max_cells)
+    bad_products, unit_holds = basis_change_failures(n)
+    blocks = level_blocks(top_antisymmetrizer(m + 1, n))
+    alive, outside, ann_dims, ideal_dims = [], [], [], []
+    for k, block in enumerate(blocks):
+        alive += [
+            {"level": k, "dom": list(dom), "ran": list(ran)}
+            for (dom, ran), x in block.items()
+            if not acts_as_zero(m, k, x)
+        ]
+        ann = level_annihilator(m, k)
+        ideal = level_ideal(k, block.values())
+        if not all(ideal.contains(vec) for vec in ann):
+            outside.append(k)
+        ann_dims.append(len(ann))
+        ideal_dims.append(ideal.dimension)
+    annihilator = sum(comb(n, k) ** 2 * d for k, d in enumerate(ann_dims))
+    ideal_dim = sum(comb(n, k) ** 2 * d for k, d in enumerate(ideal_dims))
     expected_dim = annihilator_dimension_formula(m, n)
-    ideal = two_sided_ideal(y)
-
-    inside = all(ideal.basis.contains(vec) for vec in kernel)
-    fills = ideal.dimension == len(kernel)
+    certified = not bad_products and unit_holds
+    fills = ideal_dims == ann_dims
     assertions = [
-        assertion("generator acts as zero on the tensor power", killed),
-        assertion("annihilator lies inside the ideal", inside),
+        assertion(
+            "groupoid basis change is certified at n",
+            certified,
+            {"products": monoid_order(n) * (2 * n - 1)}
+            if certified
+            else {
+                "failing": [[list(d), list(g)] for d, g in bad_products[:5]],
+                "unit": unit_holds,
+            },
+        ),
+        assertion("generator acts as zero on the tensor power", not alive, alive[:5] or None),
+        assertion(
+            "annihilator lies inside the ideal",
+            not outside,
+            {"levels": outside} if outside else None,
+        ),
         assertion(
             "annihilator dimension matches the Specht count",
-            len(kernel) == expected_dim,
-            {"annihilator": len(kernel), "specht_count": expected_dim},
+            annihilator == expected_dim,
+            {"annihilator": annihilator, "specht_count": expected_dim},
         ),
         assertion(
             "ideal fills the annihilator",
             fills,
-            {"ideal": ideal.dimension, "annihilator": len(kernel)},
+            {
+                "ideal": ideal_dim,
+                "annihilator": annihilator,
+                "ideal_by_level": ideal_dims,
+                "annihilator_by_level": ann_dims,
+            },
         ),
-        assertion("annihilator equals the ideal as subspaces", inside and fills),
+        assertion(
+            "annihilator equals the ideal as subspaces",
+            certified and not outside and fills,
+        ),
     ]
     return report(
         "verify-schur-weyl",

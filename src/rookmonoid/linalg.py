@@ -13,8 +13,9 @@ vectors.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class SparseMatrix:
@@ -204,6 +205,40 @@ class SpanBasis:
 
     def __repr__(self) -> str:
         return f"SpanBasis(dim={self.dim}, dimension={self.dimension})"
+
+
+def apply_map(tau: Sequence[int], vec: Mapping[int, int]) -> dict[int, int]:
+    """The vector with each coordinate i moved to ``tau[i]``."""
+    out: dict[int, int] = {}
+    for i, c in vec.items():
+        j = tau[i]
+        acc = out.get(j, 0) + c
+        if acc:
+            out[j] = acc
+        else:
+            out.pop(j, None)
+    return out
+
+
+def saturate(
+    dim: int, maps: Sequence[Sequence[int]], seeds: Iterable[Mapping[int, int]]
+) -> SpanBasis:
+    """The smallest subspace of Q^dim that contains ``seeds`` and is closed
+    under every index map in ``maps``.
+
+    Breadth-first: each vector that grew the span is queued once, and its
+    image under every map is inserted when it leaves the queue.  The queued
+    vectors span the basis, so once the queue is empty the span is closed.
+    """
+    basis = SpanBasis(dim)
+    queue = deque(vec for vec in seeds if basis.insert(vec))
+    while queue:
+        vec = queue.popleft()
+        for tau in maps:
+            image = apply_map(tau, vec)
+            if basis.insert(image):
+                queue.append(image)
+    return basis
 
 
 def _sorted_row_iter(m: SparseMatrix):

@@ -139,10 +139,6 @@ def all_tableaux(shape: Shape, n: int) -> Iterator[Tableau]:
             yield Tableau(shape, n, rows)
 
 
-def tabloid_of(t: Tableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in t.rows)
-
-
 @lru_cache(maxsize=None)
 def all_tabloids(shape: Shape, n: int) -> tuple[Tabloid, ...]:
     """Every tabloid of the shape, sorted by concatenated row content."""
@@ -247,10 +243,10 @@ def vector_coordinates(
     return {index[tb]: c for tb, c in vec.items()}
 
 
+@lru_cache(maxsize=None)
 def specht_basis(shape: Shape, n: int) -> SpanBasis:
     """Echelon span of every polytabloid of the shape inside the tabloid
-    coordinate space."""
-    shape = tuple(shape)
+    coordinate space.  Cached; treat as read-only."""
     basis = SpanBasis(len(all_tabloids(shape, n)))
     for t in all_tableaux(shape, n):
         basis.insert(vector_coordinates(polytabloid(t), shape, n))
@@ -259,4 +255,5 @@ def specht_basis(shape: Shape, n: int) -> SpanBasis:
 
 @lru_cache(maxsize=None)
 def specht_dimension(shape: Shape, n: int) -> int:
+    """The rank of the cached ``specht_basis``."""
     return specht_basis(tuple(shape), n).dimension

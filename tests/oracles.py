@@ -8,18 +8,42 @@ from __future__ import annotations
 
 import itertools
 
-from rookmonoid.algebra import AlgebraElement, element_coordinates
+from rookmonoid.algebra import AlgebraElement, element_coordinates, top_antisymmetrizer
 from rookmonoid.diagrams import (
+    Perm,
     Quadruple,
     all_diagrams,
     compose_quadruple,
     coset_reps,
+    identity,
     monoid_order,
     perm_length,
 )
-from rookmonoid.ideals import IdealSpan
-from rookmonoid.linalg import SpanBasis, SparseMatrix
-from rookmonoid.specht import Tableau
+from rookmonoid.ideals import IdealSpan, two_sided_ideal
+from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
+from rookmonoid.specht import Tableau, Tabloid
+from rookmonoid.tensor import phi_matrix
+
+
+def transposition(n: int, i: int, j: int) -> Perm:
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"need distinct i, j in 1..{n}, got {i}, {j}")
+    img = list(identity(n))
+    img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
+    return tuple(img)
+
+
+def isolated_top(d: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a for a, b in enumerate(d, start=1) if b == 0)
+
+
+def isolated_bottom(d: tuple[int, ...]) -> tuple[int, ...]:
+    hit = set(d)
+    return tuple(b for b in range(1, len(d) + 1) if b not in hit)
+
+
+def tabloid_of(t: Tableau) -> Tabloid:
+    return tuple(tuple(sorted(row)) for row in t.rows)
 
 
 def brute_quadruples(n: int):
@@ -108,3 +132,16 @@ def two_sided_ideal_exhaustive(a: AlgebraElement) -> IdealSpan:
         for d2 in diags:
             basis.insert(element_coordinates(left * AlgebraElement.from_diagram(d2)))
     return IdealSpan(n, a, basis)
+
+
+def annihilator_by_phi_kernel(m: int, n: int) -> tuple[int, int]:
+    """The annihilator's dimension as the kernel of phi over all of R_n, and
+    the dimension of the ideal Y_{m+1} generates, saturated in all of F R_n;
+    asserts every kernel vector lies in that ideal.  The whole-algebra route
+    the level-by-level check replaced, kept to cross-check it: it shares
+    ``nullspace`` and ``saturate`` with that check, but not the basis
+    change or the levels."""
+    kernel = nullspace(phi_matrix(m, n))
+    ideal = two_sided_ideal(top_antisymmetrizer(m + 1, n))
+    assert all(ideal.basis.contains(vec) for vec in kernel), (m, n)
+    return len(kernel), ideal.dimension

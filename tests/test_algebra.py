@@ -19,11 +19,10 @@ from rookmonoid.diagrams import (
     identity,
     multiply,
     rank,
-    transposition,
 )
 from rookmonoid.specht import Tableau, all_shapes, column_filled_tableau, row_filled_tableau
 
-from oracles import brute_sign
+from oracles import brute_sign, transposition
 
 
 def test_element_arithmetic_basics():

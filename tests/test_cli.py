@@ -7,6 +7,7 @@ import time
 import pytest
 
 import rookmonoid
+from rookmonoid.caps import DEFAULT_MAX_CELLS, check_level_cap, level_work
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
 
@@ -162,16 +163,23 @@ def test_cap_exit_code(capsys):
 
 @pytest.mark.parametrize("m, n", [(2, 7), (1, 8)])
 def test_cap_counts_phi_entries(m, n, capsys):
-    # few enough cells to pass the cell count, but tens of millions of phi entries
+    # the level guard refuses what once meant tens of millions of phi entries
     started = time.monotonic()
     code = main(["verify-schur-weyl", "--m", str(m), "--n", str(n)])
     elapsed = time.monotonic() - started
     captured = capsys.readouterr()
     assert code == 3
     assert "refusing" in captured.err
-    assert "phi matrix entries" in captured.err
+    assert "groupoid level work" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_level_guard_admits_n6(m):
+    # every m < 6 passes the default cap at n = 6; not run, only guarded
+    assert level_work(m, 6) <= DEFAULT_MAX_CELLS
+    check_level_cap(m, 6, DEFAULT_MAX_CELLS)
 
 
 @pytest.mark.parametrize("command", ["verify-blocks", "verify-lemma-3-10", "verify-all"])

@@ -1,0 +1,179 @@
+import itertools
+
+import pytest
+
+from rookmonoid import groupoid, ideals
+from rookmonoid.algebra import element_from_coordinates, top_antisymmetrizer
+from rookmonoid.caps import growth_word_count
+from rookmonoid.diagrams import all_diagrams, diagram_index, multiply
+from rookmonoid.groupoid import (
+    basis_change_failures,
+    growth_words,
+    level_annihilator,
+    mobius_vector,
+    relabel,
+)
+from rookmonoid.ideals import check_annihilator_ideal
+from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
+from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
+
+from oracles import annihilator_by_phi_kernel
+
+
+def _assertion(rep, name):
+    return next(a for a in rep["assertions"] if a["name"] == name)
+
+
+def _failed(rep):
+    return {a["name"] for a in rep["assertions"] if not a["pass"]}
+
+
+@pytest.fixture
+def fresh_certificate():
+    # the certificate is cached per n; a mutated run must not leave its result behind
+    basis_change_failures.cache_clear()
+    yield
+    basis_change_failures.cache_clear()
+
+
+def test_level_route_matches_the_phi_kernel_route():
+    for n in range(1, 5):
+        for m in range(n):
+            rep = check_annihilator_ideal(m, n)
+            assert rep["pass"], rep
+            fills = _assertion(rep, "ideal fills the annihilator")["witness"]
+            assert (fills["annihilator"], fills["ideal"]) == annihilator_by_phi_kernel(m, n), (m, n)
+
+
+def test_relabelling_composes_like_diagrams():
+    # sigma_(t u) = sigma_t sigma_u whenever ran t = dom u
+    diags = all_diagrams(3)
+    for t, u in itertools.product(diags, repeat=2):
+        ran_t = {b for b in t if b}
+        dom_u = {a for a, b in enumerate(u, start=1) if b}
+        if ran_t == dom_u:
+            assert relabel(multiply(t, u)) == multiply(relabel(t), relabel(u)), (t, u)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (1, 4)])
+def test_mobius_element_acts_on_its_range_support_only(m, n):
+    # phi(floor(d)) v_w = [supp w = ran d] phi(d) v_w, and on that support the
+    # digits move as sigma_d moves the letters of a word
+    index = diagram_index(n)
+    dim = tensor_dim(m, n)
+    for d in all_diagrams(n):
+        floor = element_from_coordinates(n, mobius_vector(d, index))
+        ran = {b for b in d if b}
+        dom = [a for a, b in enumerate(d, start=1) if b]
+        sigma = relabel(d)
+        expect = {}
+        for (row, col), v in diagram_matrix(d, m).entries.items():
+            digits_in = [col // (m + 1) ** (n - i) % (m + 1) for i in range(1, n + 1)]
+            digits_out = [row // (m + 1) ** (n - i) % (m + 1) for i in range(1, n + 1)]
+            if {i + 1 for i, x in enumerate(digits_in) if x} != ran:
+                continue
+            word = [digits_in[b - 1] for b in sorted(ran)]
+            assert [digits_out[a - 1] for a in dom] == [word[s - 1] for s in sigma]
+            expect[(row, col)] = v
+        got = element_matrix(floor, m)
+        assert (got.rows, got.cols) == (dim, dim)
+        assert got.entries == expect, d
+
+
+def test_growth_words_decide_the_level_annihilator():
+    # one input word per relabelling orbit gives the kernel of all of them
+    for m in (1, 2, 3):
+        for k in range(5):
+            perms = sorted(itertools.permutations(range(1, k + 1)))
+            entries, rows = {}, {}
+            for u in itertools.product(range(1, m + 1), repeat=k):
+                for j, sigma in enumerate(perms):
+                    key = (u, tuple(u[s - 1] for s in sigma))
+                    entries[(rows.setdefault(key, len(rows)), j)] = 1
+            full = SpanBasis(len(perms))
+            for vec in nullspace(SparseMatrix(max(len(rows), 1), len(perms), entries)):
+                full.insert(vec)
+            fast = SpanBasis(len(perms))
+            for vec in level_annihilator(m, k):
+                fast.insert(vec)
+            assert fast == full, (m, k)
+    assert len(growth_words(3, 5)) == 1 + 15 + 25  # S(5,1) + S(5,2) + S(5,3)
+
+
+def test_level_guard_counts_the_growth_words():
+    for m in range(7):
+        for k in range(8):
+            assert growth_word_count(m, k) == len(growth_words(m, k)), (m, k)
+
+
+def test_a_flipped_moebius_sign_fails_the_certificate(monkeypatch, fresh_certificate):
+    target = (2, 3, 1)
+    original = groupoid.mobius_vector
+
+    def flipped(d, index):
+        vec = original(d, index)
+        if d == target:
+            j = index[(2, 3, 0)]
+            vec[j] = -vec[j]
+        return vec
+
+    monkeypatch.setattr(groupoid, "mobius_vector", flipped)
+    rep = check_annihilator_ideal(1, 3)
+    assert _failed(rep) == {
+        "groupoid basis change is certified at n",
+        "annihilator equals the ideal as subspaces",
+    }
+    failing = _assertion(rep, "groupoid basis change is certified at n")["witness"]["failing"]
+    # each failing product has the corrupted diagram as its left factor or result
+    assert failing and all(
+        target in (tuple(d), multiply(tuple(d), tuple(g))) for d, g in failing
+    )
+
+
+def test_a_dropped_block_entry_fails_to_fill_the_annihilator(monkeypatch):
+    original = groupoid.level_blocks
+
+    def dropped(y):
+        blocks = original(y)
+        top = blocks[y.n]
+        del top[next(iter(top))]
+        return blocks
+
+    monkeypatch.setattr(ideals, "level_blocks", dropped)
+    rep = check_annihilator_ideal(1, 2)
+    assert "ideal fills the annihilator" in _failed(rep)
+    assert not rep["pass"]
+    fills = _assertion(rep, "ideal fills the annihilator")["witness"]
+    assert fills["ideal_by_level"] == [0, 0, 0]
+    assert fills["annihilator_by_level"] == [0, 0, 1]
+
+
+def test_a_wrong_block_entry_of_the_right_dimension_fails_containment(monkeypatch):
+    # at (1, 2) the one top entry is 1 - s_1, whose ideal is ann_2; 1 + s_1
+    # spans an ideal of the same dimension that misses it
+    original = groupoid.level_blocks
+
+    def symmetrized(y):
+        blocks = original(y)
+        (entry,) = blocks[y.n].values()
+        for j in entry:
+            entry[j] = 1
+        return blocks
+
+    monkeypatch.setattr(ideals, "level_blocks", symmetrized)
+    rep = check_annihilator_ideal(1, 2)
+    assert _failed(rep) == {
+        "generator acts as zero on the tensor power",
+        "annihilator lies inside the ideal",
+        "annihilator equals the ideal as subspaces",
+    }
+    assert _assertion(rep, "annihilator lies inside the ideal")["witness"] == {"levels": [2]}
+
+
+def test_level_blocks_of_the_generator_start_at_level_m_plus_one():
+    for n in range(2, 5):
+        for m in range(1, n):
+            blocks = groupoid.level_blocks(top_antisymmetrizer(m + 1, n))
+            assert [bool(b) for b in blocks] == [k > m for k in range(n + 1)], (m, n)
+            for k, block in enumerate(blocks):
+                assert all(len(dom) == len(ran) == k for dom, ran in block)

@@ -10,7 +10,6 @@ from rookmonoid.diagrams import (
     identity,
     monoid_order,
     multiply,
-    transposition,
 )
 from rookmonoid.specht import (
     Tableau,
@@ -29,10 +28,9 @@ from rookmonoid.specht import (
     row_sets,
     specht_dimension,
     tabloid_index,
-    tabloid_of,
 )
 
-from oracles import act_on_tableau, standard_tableau_count
+from oracles import act_on_tableau, standard_tableau_count, tabloid_of, transposition
 
 
 def test_partitions_counts():
