@@ -5,7 +5,8 @@ Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
 wall time, exit code, pass flag and the per-level dimensions of ann_k and
 I_k from the report.  A second interpreter times the Specht count
 (``annihilator_dimension_formula``) alone, the part of the check that does
-not run level by level.  Also times the refusals at (2, 7) and (1, 8).  Writes
+not run level by level.  Also times the refusals at (2, 7) and (1, 8), and
+``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9.  Writes
 the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json
@@ -24,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [(m, 6) for m in range(1, 6)] + [(1, 5), (2, 5)]
 REFUSED = [(2, 7), (1, 8)]
+SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
 
 
 FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
@@ -31,11 +33,14 @@ FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({
 
 def run(m: int, n: int, *, formula_only: bool = False) -> tuple[float, subprocess.CompletedProcess]:
     """One fresh interpreter: the whole check, or only its Specht count."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
     if formula_only:
-        argv = [sys.executable, "-c", FORMULA.format(m=m, n=n)]
-    else:
-        argv = [sys.executable, "-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n)]
+        return run_argv(["-c", FORMULA.format(m=m, n=n)])
+    return run_argv(["-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n)])
+
+
+def run_argv(args: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    argv = [sys.executable, *args]
     started = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
     return time.perf_counter() - started, proc
@@ -64,6 +69,16 @@ def main(out: str) -> int:
         wall, proc = run(m, n)
         refused.append({"m": m, "n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode,
                         "stderr": proc.stderr.strip()})
+    specht_dims = []
+    for n in SPECHT_DIMS:
+        wall, proc = run_argv(["-m", "rookmonoid", "specht-dims", "--n", str(n)])
+        entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+        if proc.returncode == 0:
+            entry["sum_of_squares"] = json.loads(proc.stdout)["sum_of_squares"]
+        else:
+            entry["stderr"] = proc.stderr.strip()
+        specht_dims.append(entry)
+        print(json.dumps(entry), file=sys.stderr)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
         "machine": {
@@ -73,9 +88,15 @@ def main(out: str) -> int:
         },
         "cases": cases,
         "refused": refused,
+        "specht_dims": specht_dims,
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if all(c["exit_code"] == 0 for c in cases) and all(r["exit_code"] == 3 for r in refused) else 1
+    ok = (
+        all(c["exit_code"] == 0 for c in cases)
+        and all(r["exit_code"] == 3 for r in refused)
+        and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
+    )
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

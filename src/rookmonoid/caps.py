@@ -8,7 +8,7 @@ the cap explicitly.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, prod
 
 DEFAULT_MAX_CELLS = 10_000_000
 
@@ -55,3 +55,17 @@ def level_work(m: int, n: int) -> int:
 
 def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     check_cap(f"groupoid level work at m={m}, n={n}", level_work(m, n), max_cells)
+
+
+def check_specht_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    """Refuse the Specht bases of every shape at n when their swap maps are
+    too large: each shape lambda of r boxes stores n - 1 maps over its
+    C(n,r) r! / prod(lambda_i!) tabloids, more than its echelon rows hold."""
+    from .specht import all_shapes  # specht imports diagrams, which imports caps
+
+    entries = sum(
+        (n - 1) * comb(n, sum(shape)) * factorial(sum(shape))
+        // prod(factorial(k) for k in shape)
+        for shape in all_shapes(n)
+    )
+    check_cap(f"Specht swap-map entries at n={n}", entries, max_cells)

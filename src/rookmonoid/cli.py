@@ -15,7 +15,7 @@ import sys
 
 from . import diagrams, ideals, specht, tensor, verify
 from .algebra import antisymmetrizer, symmetrizer, tableau_quasi_idempotent
-from .caps import DEFAULT_MAX_CELLS, SizeCapError, check_level_cap
+from .caps import DEFAULT_MAX_CELLS, SizeCapError, check_level_cap, check_specht_cap
 from .reporting import assertion, jsonable, report
 
 EXIT_PASS = 0
@@ -170,6 +170,7 @@ def cmd_e_element(args, parser) -> int:
 
 def cmd_specht_dims(args, parser) -> int:
     n = args.n
+    check_specht_cap(n, args.max_cells)
     shapes = specht.all_shapes(n)
     dims = [(shape, specht.specht_dimension(shape, n)) for shape in shapes]
     total = sum(d * d for _, d in dims)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import diagrams
-from .linalg import SpanBasis
+from .linalg import SpanBasis, saturate
 
 if TYPE_CHECKING:
     from .algebra import AlgebraElement, Coeff
@@ -243,14 +243,29 @@ def vector_coordinates(
     return {index[tb]: c for tb, c in vec.items()}
 
 
+def _swap_maps(shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
+    """Index maps of the adjacent swaps s_1 .. s_n-1 on ``all_tabloids``."""
+    tabloids = all_tabloids(shape, n)
+    index = tabloid_index(shape, n)
+    return tuple(
+        tuple(index[act_on_tabloid(swap, tb, n)] for tb in tabloids)
+        for swap in (diagrams.generator(n, "s", i) for i in range(1, n))
+    )
+
+
 @lru_cache(maxsize=None)
 def specht_basis(shape: Shape, n: int) -> SpanBasis:
     """Echelon span of every polytabloid of the shape inside the tabloid
-    coordinate space.  Cached; treat as read-only."""
-    basis = SpanBasis(len(all_tabloids(shape, n)))
-    for t in all_tableaux(shape, n):
-        basis.insert(vector_coordinates(polytabloid(t), shape, n))
-    return basis
+    coordinate space.  Cached; treat as read-only.
+
+    A permutation sigma maps e_t to e_(sigma t), and S_n is transitive on
+    the fillings of the shape by distinct entries from 1..n, so every
+    polytabloid is sigma e_t for the row-filled t and some sigma.  The span
+    of all polytabloids is therefore the span of that one e_t closed under
+    the adjacent swaps, which generate S_n; that closure is built here.
+    """
+    seed = vector_coordinates(polytabloid(row_filled_tableau(shape, n)), shape, n)
+    return saturate(len(all_tabloids(shape, n)), _swap_maps(shape, n), [seed])
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,14 @@ from rookmonoid.diagrams import (
 )
 from rookmonoid.ideals import IdealSpan, two_sided_ideal
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
-from rookmonoid.specht import Tableau, Tabloid
+from rookmonoid.specht import (
+    Tableau,
+    Tabloid,
+    all_tableaux,
+    all_tabloids,
+    polytabloid,
+    vector_coordinates,
+)
 from rookmonoid.tensor import phi_matrix
 
 
@@ -145,3 +152,13 @@ def annihilator_by_phi_kernel(m: int, n: int) -> tuple[int, int]:
     ideal = two_sided_ideal(top_antisymmetrizer(m + 1, n))
     assert all(ideal.basis.contains(vec) for vec in kernel), (m, n)
     return len(kernel), ideal.dimension
+
+
+def specht_basis_by_polytabloids(shape: tuple[int, ...], n: int) -> SpanBasis:
+    """Echelon span of the polytabloid of every tableau of the shape, one
+    per filling; the reference for the swap saturation in
+    ``specht.specht_basis``."""
+    basis = SpanBasis(len(all_tabloids(shape, n)))
+    for t in all_tableaux(shape, n):
+        basis.insert(vector_coordinates(polytabloid(t), shape, n))
+    return basis

@@ -7,7 +7,13 @@ import time
 import pytest
 
 import rookmonoid
-from rookmonoid.caps import DEFAULT_MAX_CELLS, check_level_cap, level_work
+from rookmonoid.caps import (
+    DEFAULT_MAX_CELLS,
+    SizeCapError,
+    check_level_cap,
+    check_specht_cap,
+    level_work,
+)
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
 
@@ -180,6 +186,26 @@ def test_level_guard_admits_n6(m):
     # every m < 6 passes the default cap at n = 6; not run, only guarded
     assert level_work(m, 6) <= DEFAULT_MAX_CELLS
     check_level_cap(m, 6, DEFAULT_MAX_CELLS)
+
+
+def test_specht_dims_refuses_n9(capsys):
+    started = time.monotonic()
+    code = main(["specht-dims", "--n", "9"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refusing" in captured.err
+    assert "Specht swap-map entries at n=9 = 18530536" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_specht_guard_admits_n8():
+    # 1,749,482 swap-map entries pass the default cap; not run, only guarded
+    check_specht_cap(8, DEFAULT_MAX_CELLS)
+    with pytest.raises(SizeCapError) as exc:
+        check_specht_cap(8, 1_749_481)
+    assert exc.value.value == 1_749_482
 
 
 @pytest.mark.parametrize("command", ["verify-blocks", "verify-lemma-3-10", "verify-all"])

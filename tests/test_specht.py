@@ -26,11 +26,18 @@ from rookmonoid.specht import (
     polytabloid,
     row_filled_tableau,
     row_sets,
+    specht_basis,
     specht_dimension,
     tabloid_index,
 )
 
-from oracles import act_on_tableau, standard_tableau_count, tabloid_of, transposition
+from oracles import (
+    act_on_tableau,
+    specht_basis_by_polytabloids,
+    standard_tableau_count,
+    tabloid_of,
+    transposition,
+)
 
 
 def test_partitions_counts():
@@ -205,11 +212,19 @@ def test_polytabloid_alternates_in_columns():
 
 def test_specht_dimension_matches_standard_count():
     # dim S(shape) = C(n, r) * (number of standard tableaux of the shape)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         for r in range(n + 1):
             for shape in partitions_of(r):
                 expected = math.comb(n, r) * standard_tableau_count(shape)
                 assert specht_dimension(shape, n) == expected
+
+
+def test_specht_basis_matches_all_polytabloids():
+    # the swap saturation of one polytabloid is the span of all of them, and
+    # the canonical echelon form makes the two bases equal row for row
+    for n in (1, 2, 3, 4, 5):
+        for shape in all_shapes(n):
+            assert specht_basis(shape, n) == specht_basis_by_polytabloids(shape, n), (shape, n)
 
 
 def test_specht_dimension_frozen_n4():
@@ -238,7 +253,7 @@ def test_wedderburn_sum_of_squares():
 
 def test_specht_module_is_invariant():
     # acting on a polytabloid lands back in the span of polytabloids
-    from rookmonoid.specht import specht_basis, vector_coordinates
+    from rookmonoid.specht import vector_coordinates
 
     n = 3
     for shape in ((2,), (1, 1), (2, 1), (1,), ()):
