@@ -69,10 +69,6 @@ class AlgebraElement:
     def one(cls, n: int) -> "AlgebraElement":
         return cls(n, {identity(n): 1})
 
-    @classmethod
-    def zero(cls, n: int) -> "AlgebraElement":
-        return cls(n)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -138,9 +134,6 @@ class AlgebraElement:
         out.terms = {star(d): c for d, c in self.terms.items()}
         return out
 
-    def support(self) -> tuple[Diagram, ...]:
-        return tuple(sorted(self.terms))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)
@@ -165,16 +158,6 @@ class AlgebraElement:
                 for d, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AlgebraElement":
-        terms: dict[Diagram, Coeff] = {}
-        for item in obj["terms"]:
-            d = tuple(item["diagram"])
-            if not is_diagram(d):
-                raise ValueError(f"not a diagram: {d}")
-            terms[d] = terms.get(d, 0) + Fraction(item["coeff"])
-        return cls(obj["n"], terms)
 
 
 def _embed(small: Diagram, labels: tuple[int, ...], n: int) -> Diagram:
@@ -256,7 +239,7 @@ def tableau_quasi_idempotent(t: specht.Tableau) -> AlgebraElement:
     out = AlgebraElement.one(n)
     for col in specht.column_sets(t):
         out = out * antisymmetrizer(col, n)
-    for row in specht.row_sets(t):
+    for row in t.rows:
         out = out * symmetrizer(row, n)
     content = t.content
     for i in range(1, n + 1):

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from math import comb, factorial, prod
 
+from .diagrams import monoid_order
+from .specht import all_shapes
+
 DEFAULT_MAX_CELLS = 10_000_000
 
 
@@ -26,6 +29,43 @@ class SizeCapError(RuntimeError):
 def check_cap(quantity: str, value: int, cap: int = DEFAULT_MAX_CELLS) -> None:
     if value > cap:
         raise SizeCapError(quantity, value, cap)
+
+
+def check_order_cap(n: int, max_cells: int) -> None:
+    """Refuse listing the monoid when its order exceeds ``max_cells``."""
+    check_cap(f"rook monoid order at n={n}", monoid_order(n), max_cells)
+
+
+def phi_entry_count(m: int, n: int) -> int:
+    """Nonzero entries of phi: each of the C(n,k)^2 k! diagrams of rank k
+    has (m+1)^k."""
+    return sum(comb(n, k) ** 2 * factorial(k) * (m + 1) ** k for k in range(n + 1))
+
+
+def check_tensor_cap(m: int, n: int, max_cells: int) -> None:
+    """Refuse tensor matrices with more than ``max_cells`` cells, and phi
+    with more than ``max_cells`` nonzero entries."""
+    check_cap(
+        f"tensor matrix cells (m+1)^(2n) at m={m}, n={n}",
+        (m + 1) ** (2 * n),
+        max_cells,
+    )
+    check_cap(
+        f"phi matrix entries sum_k C(n,k)^2 k! (m+1)^k at m={m}, n={n}",
+        phi_entry_count(m, n),
+        max_cells,
+    )
+
+
+def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
+    """Refuse printing the ``sym`` or ``anti`` element on r of n vertices
+    when its JSON has more than ``max_cells`` cells: each term holds a
+    coefficient and n images, and there are |R_r| terms for ``sym`` and
+    (r+1)! for ``anti``."""
+    terms = monoid_order(r) if kind == "sym" else factorial(r + 1)
+    check_cap(
+        f"{kind} output cells terms*(n+1) at r={r}, n={n}", terms * (n + 1), max_cells
+    )
 
 
 def growth_word_count(m: int, k: int) -> int:
@@ -61,8 +101,6 @@ def check_specht_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     """Refuse the Specht bases of every shape at n when their swap maps are
     too large: each shape lambda of r boxes stores n - 1 maps over its
     C(n,r) r! / prod(lambda_i!) tabloids, more than its echelon rows hold."""
-    from .specht import all_shapes  # specht imports diagrams, which imports caps
-
     entries = sum(
         (n - 1) * comb(n, sum(shape)) * factorial(sum(shape))
         // prod(factorial(k) for k in shape)

@@ -13,9 +13,9 @@ import io
 import json
 import sys
 
-from . import diagrams, ideals, specht, tensor, verify
+from . import caps, diagrams, ideals, specht, verify
 from .algebra import antisymmetrizer, symmetrizer, tableau_quasi_idempotent
-from .caps import DEFAULT_MAX_CELLS, SizeCapError, check_level_cap, check_specht_cap
+from .caps import DEFAULT_MAX_CELLS, SizeCapError
 from .reporting import assertion, jsonable, report
 
 EXIT_PASS = 0
@@ -65,7 +65,7 @@ def _report_exit(rep: dict, args) -> int:
 
 def cmd_enumerate(args, parser) -> int:
     n = args.n
-    diagrams.check_order_cap(n, args.max_cells)
+    caps.check_order_cap(n, args.max_cells)
     if args.rank_class is not None:
         if not 0 <= args.rank_class <= n:
             parser.error(f"--rank-class must be in 0..{n}")
@@ -102,8 +102,6 @@ def _one_diagram(args, parser) -> diagrams.Diagram:
 
 def cmd_factorize(args, parser) -> int:
     d = _one_diagram(args, parser)
-    if args.n is not None and args.n != len(d):
-        parser.error(f"--n {args.n} does not match diagram size {len(d)}")
     q = diagrams.factorize(d)
     _emit(
         {
@@ -137,6 +135,7 @@ def cmd_symmetrizer(args, parser) -> int:
     k = args.r if args.r is not None else n
     if not 1 <= k <= n:
         parser.error(f"--r must be in 1..{n}")
+    caps.check_symmetrizer_cap(args.kind, k, n, args.max_cells)
     subset = range(1, k + 1)
     elem = (
         antisymmetrizer(subset, n) if args.kind == "anti" else symmetrizer(subset, n)
@@ -170,7 +169,7 @@ def cmd_e_element(args, parser) -> int:
 
 def cmd_specht_dims(args, parser) -> int:
     n = args.n
-    check_specht_cap(n, args.max_cells)
+    caps.check_specht_cap(n, args.max_cells)
     shapes = specht.all_shapes(n)
     dims = [(shape, specht.specht_dimension(shape, n)) for shape in shapes]
     total = sum(d * d for _, d in dims)
@@ -229,88 +228,44 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
     """The task grid, with every size-capped resource checked up front."""
     if n_max < 2 or m_max < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
-    tasks: list[tuple[str, object]] = []
-    for n in range(1, n_max + 1):
-        diagrams.check_order_cap(n, max_cells)
-        tasks.append((f"counting(n={n})", lambda n=n: verify.check_counting(n)))
-    for n in range(2, n_max + 1):
-        tasks.append(
-            (
-                f"presentation(n={n})",
-                lambda n=n: diagrams.verify_presentation(n),
-            )
-        )
-    for n in range(1, n_max + 1):
-        diagrams.check_order_cap(n, max_cells)
-        tasks.append(
-            (f"factorization(n={n})", lambda n=n: verify.check_factorization(n))
-        )
-    for n in range(2, min(n_max, 4) + 1):
-        tasks.append(
-            (
-                f"one-dimensional-ideals(n={n})",
-                lambda n=n: ideals.check_one_dimensional_ideals(n),
-            )
-        )
-    for n in range(2, min(n_max, 4) + 1):
-        for m in range(1, min(m_max, 2) + 1):
-            tensor.check_tensor_cap(m, n, max_cells)
-            tasks.append(
-                (
-                    f"tensor-homomorphism(n={n},m={m})",
-                    lambda n=n, m=m: verify.check_tensor_homomorphism(
-                        n, m, max_cells=max_cells
-                    ),
-                )
-            )
-    faithful_pairs = [(k, k) for k in range(1, min(n_max, m_max) + 1)]
-    if m_max >= 3 and n_max >= 2:
-        faithful_pairs.append((3, 2))
-    for m, n in faithful_pairs:
-        tensor.check_tensor_cap(m, n, max_cells)
-        tasks.append(
-            (
-                f"faithful(m={m},n={n})",
-                lambda m=m, n=n: ideals.check_faithful_action(m, n, max_cells=max_cells),
-            )
-        )
-    for n in range(2, n_max + 1):
-        for m in range(1, min(n - 1, m_max) + 1):
-            check_level_cap(m, n, max_cells)
-            tasks.append(
-                (
-                    f"annihilator(m={m},n={n})",
-                    lambda m=m, n=n: ideals.check_annihilator_ideal(
-                        m, n, max_cells=max_cells
-                    ),
-                )
-            )
-    for n in range(2, min(n_max, 4) + 1):
-        tasks.append(
-            (f"blocks(n={n})", lambda n=n: ideals.check_block_decomposition(n))
-        )
-    for n in range(2, min(n_max, 3) + 1):
-        tasks.append(
-            (
-                f"specht-orthogonality(n={n})",
-                lambda n=n: ideals.check_specht_orthogonality(n),
-            )
-        )
-    for n in range(2, min(n_max, 4) + 1):
-        for m in range(1, min(n - 1, m_max) + 1):
-            tasks.append(
-                (
-                    f"absorption(m={m},n={n})",
-                    lambda m=m, n=n: ideals.check_absorption(m, n),
-                )
-            )
-    for n in range(2, min(n_max, 4) + 1):
-        tasks.append(
-            (
-                f"specht-dimensions(n={n})",
-                lambda n=n: verify.check_specht_dimension_sum(n),
-            )
-        )
+    capped = {"max_cells": max_cells}
+    sizes = [{"n": n} for n in range(1, n_max + 1)]
+    small = sizes[1:4]  # n = 2..4
+    tensor_pairs = [p | {"m": m} for p in small for m in range(1, min(m_max, 2) + 1)]
+    faithful = [{"m": k, "n": k} for k in range(1, min(n_max, m_max) + 1)]
+    if m_max >= 3:
+        faithful.append({"m": 3, "n": 2})
+
+    def narrow(n_top: int) -> list[dict]:
+        return [
+            {"m": m, "n": n}
+            for n in range(2, n_top + 1)
+            for m in range(1, min(n - 1, m_max) + 1)
+        ]
+
+    # (family, check, parameter dicts, extra keywords, guard run up front)
+    table = [
+        ("counting", verify.check_counting, sizes, {}, caps.check_order_cap),
+        ("presentation", diagrams.verify_presentation, sizes[1:], {}, None),
+        ("factorization", verify.check_factorization, sizes, {}, caps.check_order_cap),
+        ("one-dimensional-ideals", ideals.check_one_dimensional_ideals, small, {}, None),
+        ("tensor-homomorphism", verify.check_tensor_homomorphism, tensor_pairs, capped,
+         caps.check_tensor_cap),
+        ("faithful", ideals.check_faithful_action, faithful, capped, caps.check_tensor_cap),
+        ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), capped,
+         caps.check_level_cap),
+        ("blocks", ideals.check_block_decomposition, small, {}, None),
+        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3], {}, None),
+        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), {}, None),
+        ("specht-dimensions", verify.check_specht_dimension_sum, small, {}, None),
+    ]
+    tasks = []
+    for family, check, params, extra, guard in table:
+        for p in params:
+            if guard:
+                guard(**p, max_cells=max_cells)
+            label = ",".join(f"{key}={value}" for key, value in p.items())
+            tasks.append((f"{family}({label})", check, p | extra))
     return tasks
 
 
@@ -320,8 +275,8 @@ def cmd_verify_all(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     assertions = []
-    for name, thunk in tasks:
-        sub = thunk()
+    for name, check, kwargs in tasks:
+        sub = check(**kwargs)
         failed = [a["name"] for a in sub["assertions"] if not a["pass"]]
         assertions.append(assertion(name, sub["pass"], failed or None))
     params = {"n": args.n, "m": args.m, "max_cells": args.max_cells}
@@ -335,19 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, *, capped=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument(
-            "--max-cells",
-            type=int,
-            default=DEFAULT_MAX_CELLS,
-            help="refuse computations larger than this many cells",
-        )
+        if capped:
+            p.add_argument(
+                "--max-cells",
+                type=int,
+                default=DEFAULT_MAX_CELLS,
+                help="refuse computations larger than this many cells",
+            )
         p.set_defaults(func=func)
         return p
 
-    p = add("enumerate", cmd_enumerate, help="list all diagrams of a given size")
+    p = add("enumerate", cmd_enumerate, capped=True, help="list all diagrams of a given size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rank-class", type=int, help="restrict to diagrams with this many deleted vertices")
 
@@ -356,12 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("factorize", cmd_factorize, help="canonical quadruple of a diagram")
     p.add_argument("--diagram", action="append", required=True)
-    p.add_argument("--n", type=int)
 
     p = add("sign", cmd_sign, help="length and sign of a diagram")
     p.add_argument("--diagram", action="append", required=True)
 
-    p = add("symmetrizer", cmd_symmetrizer, help="(anti)symmetrizer over an initial segment")
+    p = add("symmetrizer", cmd_symmetrizer, capped=True, help="(anti)symmetrizer over an initial segment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, help="size of the initial segment; defaults to n")
     p.add_argument("--kind", choices=["sym", "anti"], default="sym")
@@ -371,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="shape", required=True, help="decreasing comma list; 'empty' allowed")
     p.add_argument("--kind", choices=["row", "col"], default="row")
 
-    p = add("specht-dims", cmd_specht_dims, help="Specht module dimensions for all shapes")
+    p = add("specht-dims", cmd_specht_dims, capped=True, help="Specht module dimensions for all shapes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -384,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-lemma-3-10", cmd_verify_orthogonality, help="quasi-idempotents kill other shapes")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("verify-schur-weyl", cmd_verify_schur_weyl, help="annihilator of the tensor action")
+    p = add("verify-schur-weyl", cmd_verify_schur_weyl, capped=True, help="annihilator of the tensor action")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
@@ -392,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = add("verify-all", cmd_verify_all, help="run the whole verification grid")
+    p = add("verify-all", cmd_verify_all, capped=True, help="run the whole verification grid")
     p.add_argument("--n", type=int, default=3, help="largest diagram size")
     p.add_argument("--m", type=int, default=2, help="largest number of unmarked basis vectors")
 
@@ -402,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.command != "factorize" and args.n < 1:
+    if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be at least 1")
     try:
         return args.func(args, parser)

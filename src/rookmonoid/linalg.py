@@ -85,14 +85,31 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _cancel(row: dict[int, int], rp: dict[int, int], p: int) -> None:
+    """Clear column p of ``row`` with the row ``rp`` whose pivot is p, in
+    integers, and leave ``row`` primitive."""
+    a, c = rp[p], row[p]
+    g = math.gcd(a, c)
+    am, cm = a // g, c // g
+    if am != 1:
+        for j in row:
+            row[j] *= am
+    for j, vj in rp.items():
+        nv = row.get(j, 0) - cm * vj
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+    _primitive(row)
+
+
 class SpanBasis:
     """A subspace of Q^dim held in reduced echelon form.
 
     Rows are stored as primitive integer dicts keyed by their pivot column,
     with positive pivot entry, and are fully reduced against one another.
     That form is unique for a given subspace, so structural equality of two
-    bases is span equality.  ``insert`` mutates; ``copy`` first to keep the
-    original.
+    bases is span equality.  ``insert`` mutates.
     """
 
     __slots__ = ("dim", "_rows")
@@ -132,24 +149,7 @@ class SpanBasis:
         # pivots initially present in ``row`` is a complete reduction.
         rows = self._rows
         for p in sorted(k for k in row if k in rows):
-            c = row.get(p)
-            if not c:
-                continue
-            rp = rows[p]
-            a = rp[p]
-            g = math.gcd(a, c)
-            am, cm = a // g, c // g
-            if am != 1:
-                for j in row:
-                    row[j] *= am
-            for j, vj in rp.items():
-                nv = row.get(j, 0) - cm * vj
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-            if row:
-                _primitive(row)
+            _cancel(row, rows[p], p)
         return row
 
     def insert(self, vec) -> bool:
@@ -161,23 +161,9 @@ class SpanBasis:
         if row[piv] < 0:
             for j in row:
                 row[j] = -row[j]
-        a = row[piv]
-        for q, rq in self._rows.items():
-            c = rq.get(piv)
-            if not c:
-                continue
-            g = math.gcd(a, c)
-            am, cm = a // g, c // g
-            if am != 1:
-                for j in rq:
-                    rq[j] *= am
-            for j, vj in row.items():
-                nv = rq.get(j, 0) - cm * vj
-                if nv:
-                    rq[j] = nv
-                else:
-                    rq.pop(j, None)
-            _primitive(rq)
+        for rq in self._rows.values():
+            if piv in rq:
+                _cancel(rq, row, piv)
         self._rows[piv] = row
         return True
 
@@ -190,11 +176,6 @@ class SpanBasis:
     def int_rows(self) -> list[dict[int, int]]:
         """Copies of the primitive integer rows, in pivot order."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
-
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.dim)
-        dup._rows = {p: dict(r) for p, r in self._rows.items()}
-        return dup
 
     def __eq__(self, other) -> bool:
         return (
@@ -241,17 +222,12 @@ def saturate(
     return basis
 
 
-def _sorted_row_iter(m: SparseMatrix):
-    # Insert sparse rows first; it keeps the echelon rows short.
-    rows = m.row_dicts()
-    for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
-        yield rows[r]
-
-
 def row_space(m: SparseMatrix) -> SpanBasis:
     basis = SpanBasis(m.cols)
-    for row in _sorted_row_iter(m):
-        basis.insert(row)
+    rows = m.row_dicts()
+    # Insert sparse rows first; it keeps the echelon rows short.
+    for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
+        basis.insert(rows[r])
         if basis.dimension == m.cols:
             break
     return basis

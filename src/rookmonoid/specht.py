@@ -112,10 +112,6 @@ def column_filled_tableau(shape: Shape, n: int) -> Tableau:
     return Tableau(shape, n, rows)
 
 
-def row_sets(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    return t.rows
-
-
 def column_sets(t: Tableau) -> tuple[tuple[int, ...], ...]:
     cols = conjugate(t.shape)
     return tuple(
@@ -201,30 +197,18 @@ def act_on_tabloid_vector(
     return out
 
 
-def _arrangement_sign(base: tuple[int, ...], arrangement: tuple[int, ...]) -> int:
-    pos = {e: i for i, e in enumerate(base)}
-    seq = [pos[e] for e in arrangement]
-    inv = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inv % 2 else 1
-
-
 def polytabloid(t: Tableau) -> dict[Tabloid, int]:
     """Signed sum of the tabloids reachable by permuting within columns."""
     cols = column_sets(t)
     out: dict[Tabloid, int] = {}
     for arrangements in itertools.product(
-        *(itertools.permutations(col) for col in cols)
+        *(itertools.permutations(range(len(col))) for col in cols)
     ):
         rename = {}
         sign = 1
-        for col, arr in zip(cols, arrangements):
-            sign *= _arrangement_sign(col, arr)
-            rename.update(zip(col, arr))
+        for col, positions in zip(cols, arrangements):
+            sign *= diagrams.perm_sign(positions)
+            rename.update(zip(col, (col[i] for i in positions)))
         rows = tuple(
             tuple(sorted(rename.get(e, e) for e in row)) for row in t.rows
         )

@@ -15,11 +15,10 @@ sum of i_j (m+1)^(n-j).
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
 from typing import Sequence
 
 from .algebra import AlgebraElement
-from .caps import DEFAULT_MAX_CELLS, check_cap
+from .caps import DEFAULT_MAX_CELLS, check_tensor_cap
 from .diagrams import all_diagrams, monoid_order
 from .linalg import SparseMatrix, SpanBasis, nullspace, row_space
 
@@ -28,27 +27,6 @@ def tensor_dim(m: int, n: int) -> int:
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
     return (m + 1) ** n
-
-
-def phi_entry_count(m: int, n: int) -> int:
-    """Nonzero entries of phi: each of the C(n,k)^2 k! diagrams of rank k
-    has (m+1)^k."""
-    return sum(comb(n, k) ** 2 * factorial(k) * (m + 1) ** k for k in range(n + 1))
-
-
-def check_tensor_cap(m: int, n: int, max_cells: int) -> None:
-    """Refuse tensor matrices with more than ``max_cells`` cells, and phi
-    with more than ``max_cells`` nonzero entries."""
-    check_cap(
-        f"tensor matrix cells (m+1)^(2n) at m={m}, n={n}",
-        tensor_dim(m, n) ** 2,
-        max_cells,
-    )
-    check_cap(
-        f"phi matrix entries sum_k C(n,k)^2 k! (m+1)^k at m={m}, n={n}",
-        phi_entry_count(m, n),
-        max_cells,
-    )
 
 
 def tensor_index(digits: Sequence[int], m: int) -> int:
@@ -75,8 +53,8 @@ def diagram_matrix(
 ) -> SparseMatrix:
     """The 0/1 matrix of one diagram on the tensor power."""
     n = len(d)
-    check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
+    check_tensor_cap(m, n, max_cells)
     return SparseMatrix(dim, dim, dict.fromkeys(_diagram_entries(d, m), 1))
 
 
@@ -84,8 +62,8 @@ def element_matrix(
     a: AlgebraElement, m: int, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> SparseMatrix:
     """Matrix of an algebra element; exact cancellation included."""
-    check_tensor_cap(m, a.n, max_cells)
     dim = tensor_dim(m, a.n)
+    check_tensor_cap(m, a.n, max_cells)
     acc: dict[tuple[int, int], int] = {}
     for d, coeff in a.terms.items():
         for key in _diagram_entries(d, m):
@@ -103,8 +81,8 @@ def phi_matrix(
     """The representation map as one matrix: row index runs over (output,
     input) basis pairs vectorized row-major, columns over the canonical
     diagram order."""
-    check_tensor_cap(m, n, max_cells)
     dim = tensor_dim(m, n)
+    check_tensor_cap(m, n, max_cells)
     diags = all_diagrams(n)
     entries: dict[tuple[int, int], int] = {}
     for col, d in enumerate(diags):

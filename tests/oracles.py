@@ -138,7 +138,7 @@ def two_sided_ideal_exhaustive(a: AlgebraElement) -> IdealSpan:
         left = AlgebraElement.from_diagram(d1) * a
         for d2 in diags:
             basis.insert(element_coordinates(left * AlgebraElement.from_diagram(d2)))
-    return IdealSpan(n, a, basis)
+    return IdealSpan(basis)
 
 
 def annihilator_by_phi_kernel(m: int, n: int) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from rookmonoid.caps import (
     SizeCapError,
     check_level_cap,
     check_specht_cap,
+    check_symmetrizer_cap,
     level_work,
 )
 from rookmonoid.cli import main
@@ -238,6 +239,48 @@ def test_format_is_only_on_specht_dims(capsys):
         main(["mul", "--diagram", "1,2", "--diagram", "2,1", "--format", "csv"])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["mul", "--diagram", "1,2", "--diagram", "2,1", "--max-cells", "5"], "--max-cells"),
+        (["verify-blocks", "--n", "2", "--max-cells", "5"], "--max-cells"),
+        (["verify-lemma-4-4", "--n", "2", "--m", "1", "--max-cells", "5"], "--max-cells"),
+        (["factorize", "--diagram", "2,0", "--n", "2"], "--n"),
+    ],
+)
+def test_options_only_where_read(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {option}" in captured.err
+    assert captured.out == ""
+
+
+def test_symmetrizer_refuses_n8(capsys):
+    started = time.monotonic()
+    code = main(["symmetrizer", "--n", "8"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refusing" in captured.err
+    assert "sym output cells terms*(n+1) at r=8, n=8 = 12975561" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_symmetrizer_guard_admits_n7():
+    # 130,922 terms of 8 cells each; not run, only guarded
+    check_symmetrizer_cap("sym", 7, 7, DEFAULT_MAX_CELLS)
+    with pytest.raises(SizeCapError) as exc:
+        check_symmetrizer_cap("sym", 7, 7, 1_047_375)
+    assert exc.value.value == 1_047_376
+    # anti: (r+1)! = 24 terms of n + 1 = 5 cells
+    with pytest.raises(SizeCapError) as exc:
+        check_symmetrizer_cap("anti", 3, 4, 119)
+    assert exc.value.value == 120
 
 
 def test_usage_error_bad_diagram(capsys):

@@ -226,7 +226,7 @@ def test_presentation_holds():
         assert rep["pass"], rep
 
 
-def test_presentation_detects_broken_multiplication():
+def test_presentation_detects_broken_multiplication(monkeypatch):
     def sloppy(d1, d2):
         # keeps the left factor's target when the right factor is undefined
         out = []
@@ -237,7 +237,8 @@ def test_presentation_detects_broken_multiplication():
                 out.append(b)
         return tuple(out)
 
-    rep = dg.verify_presentation(3, multiply_fn=sloppy)
+    monkeypatch.setattr(dg, "multiply", sloppy)
+    rep = dg.verify_presentation(3)
     assert not rep["pass"]
     failed = {a["name"] for a in rep["assertions"] if not a["pass"]}
     assert "p_i s_i p_i = p_i p_i+1" in failed

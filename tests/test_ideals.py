@@ -3,7 +3,9 @@ from fractions import Fraction
 from rookmonoid import ideals
 from rookmonoid.algebra import (
     AlgebraElement,
+    element_coordinates,
     full_projector,
+    symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
@@ -46,7 +48,7 @@ def test_rank_zero_ideal_is_one_dimensional():
     for n in (2, 3, 4):
         ideal = two_sided_ideal(full_projector(n))
         assert ideal.dimension == 1
-        assert ideal.contains_element(full_projector(n))
+        assert ideal.basis.contains(element_coordinates(full_projector(n)))
 
 
 def test_deletion_chain_ideals_span_low_ranks():
@@ -59,7 +61,8 @@ def test_deletion_chain_ideals_span_low_ranks():
         assert ideal.dimension == expected
         for diag in all_diagrams(n):
             inside = rank(diag) <= n - r
-            assert ideal.contains_element(AlgebraElement.from_diagram(diag)) == inside
+            coords = element_coordinates(AlgebraElement.from_diagram(diag))
+            assert ideal.basis.contains(coords) == inside
 
 
 def test_block_ideal_dimensions_are_squared_specht():
@@ -72,7 +75,7 @@ def test_block_ideal_contains_its_generator():
     n = 3
     for shape in all_shapes(n):
         e = tableau_quasi_idempotent(row_filled_tableau(shape, n))
-        assert block_ideal(shape, n).contains_element(e)
+        assert block_ideal(shape, n).basis.contains(element_coordinates(e))
 
 
 def test_annihilator_dimension_formula_frozen():
@@ -103,6 +106,20 @@ def test_one_dimensional_ideals_report():
         rep = check_one_dimensional_ideals(n)
         assert rep["pass"], rep
         assert all(a["pass"] for a in rep["assertions"])
+        assert rep["assertions"][0]["witness"] == {"dim": 1}
+
+
+def test_one_dimensional_ideals_catch_a_span_that_is_not_an_ideal(monkeypatch):
+    # 1 + s_1 at n = 3: s_2 (1 + s_1) = s_2 + s_2 s_1 is no multiple of it
+    n = 3
+    one_plus_swap = AlgebraElement(n, {(1, 2, 3): 1, (2, 1, 3): 1})
+    monkeypatch.setattr(ideals, "symmetrizer", lambda subset, n: one_plus_swap)
+    rep = check_one_dimensional_ideals(n)
+    assert not rep["pass"]
+    verdicts = {a["name"]: a for a in rep["assertions"]}
+    assert not verdicts["symmetrizer ideal is one-dimensional"]["pass"]
+    assert "s_2" in verdicts["symmetrizer ideal is one-dimensional"]["witness"]["outside"]
+    assert verdicts["antisymmetrizer ideal is one-dimensional"]["pass"]
 
 
 def test_block_decomposition_report():

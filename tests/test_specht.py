@@ -25,7 +25,6 @@ from rookmonoid.specht import (
     partitions_of,
     polytabloid,
     row_filled_tableau,
-    row_sets,
     specht_basis,
     specht_dimension,
     tabloid_index,
@@ -84,7 +83,6 @@ def test_canonical_fillings():
     assert t.rows == ((1, 2), (3,))
     c = column_filled_tableau((2, 1), 4)
     assert c.rows == ((1, 3), (2,))
-    assert row_sets(t) == ((1, 2), (3,))
     assert column_sets(t) == ((1, 3), (2,))
 
 

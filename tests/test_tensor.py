@@ -10,7 +10,7 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.caps import SizeCapError
+from rookmonoid.caps import SizeCapError, phi_entry_count
 from rookmonoid.diagrams import all_diagrams, generator, identity, monoid_order, multiply
 from rookmonoid.linalg import SparseMatrix, matmul, nullspace, rank
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
@@ -18,7 +18,6 @@ from rookmonoid.tensor import (
     annihilator_basis,
     diagram_matrix,
     element_matrix,
-    phi_entry_count,
     phi_matrix,
     phi_rank,
     tensor_dim,
