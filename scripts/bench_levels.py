@@ -5,9 +5,11 @@ Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
 wall time, exit code, pass flag and the per-level dimensions of ann_k and
 I_k from the report.  A second interpreter times the Specht count
 (``annihilator_dimension_formula``) alone, the part of the check that does
-not run level by level.  Also times the refusals at (2, 7) and (1, 8), and
-``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9.  Writes
-the result as JSON:
+not run level by level.  Also times the refusals at (2, 7) and (1, 8),
+``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
+the quasi-idempotent products: ``verify-blocks`` at n = 4 and 5,
+``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``.
+Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json
 """
@@ -26,6 +28,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [(m, 6) for m in range(1, 6)] + [(1, 5), (2, 5)]
 REFUSED = [(2, 7), (1, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
+PRODUCTS = [  # (argv, expected exit code)
+    (["verify-blocks", "--n", "4"], 0),
+    (["verify-blocks", "--n", "5"], 0),
+    (["e-element", "--n", "6", "--lambda", "6"], 0),
+    (["e-element", "--n", "8", "--lambda", "8"], 3),
+]
 
 
 FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
@@ -79,6 +87,19 @@ def main(out: str) -> int:
             entry["stderr"] = proc.stderr.strip()
         specht_dims.append(entry)
         print(json.dumps(entry), file=sys.stderr)
+    products = []
+    for argv, expected in PRODUCTS:
+        wall, proc = run_argv(["-m", "rookmonoid", *argv])
+        entry = {"argv": argv, "wall_s": round(wall, 2), "exit_code": proc.returncode,
+                 "expected_exit_code": expected}
+        if argv[0] == "verify-blocks" and proc.returncode in (0, 1):
+            entry["pass"] = json.loads(proc.stdout)["pass"]
+        elif proc.returncode == 0:
+            entry["terms"] = len(json.loads(proc.stdout)["terms"])
+        else:
+            entry["stderr"] = proc.stderr.strip()
+        products.append(entry)
+        print(json.dumps(entry), file=sys.stderr)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
         "machine": {
@@ -89,12 +110,14 @@ def main(out: str) -> int:
         "cases": cases,
         "refused": refused,
         "specht_dims": specht_dims,
+        "products": products,
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
     ok = (
         all(c["exit_code"] == 0 for c in cases)
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
+        and all(p["exit_code"] == p["expected_exit_code"] for p in products)
     )
     return 0 if ok else 1
 

@@ -39,7 +39,7 @@ from .ideals import (
     check_specht_orthogonality,
     two_sided_ideal,
 )
-from .linalg import SpanBasis, SparseMatrix, nullspace, rank
+from .linalg import SpanBasis, SparseMatrix, nullspace
 from .specht import Tableau, polytabloid, specht_dimension
 from .tensor import annihilator_basis, diagram_matrix, element_matrix, phi_matrix
 

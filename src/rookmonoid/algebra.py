@@ -1,6 +1,8 @@
 """The monoid algebra: rational linear combinations of rook diagrams.
 
 Elements multiply by convolving supports through diagram composition.  The
+product builds one ``diagrams.gather`` per left term and one padded tuple
+per right term, so each of its term pairs costs one C-level gather.  The
 module also builds the distinguished elements the structure theory runs on:
 full symmetrizers and antisymmetrizers over a chosen vertex subset, the
 all-deleting projector, and the quasi-idempotent attached to a tableau.
@@ -22,13 +24,13 @@ from .diagrams import (
     all_permutations,
     diagram_index,
     diagram_sign,
+    gather,
     generator,
     identity,
     is_diagram,
-    multiply,
+    padded,
     perm_sign,
     rank_class,
-    star,
 )
 
 
@@ -107,17 +109,15 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             self._require_same_size(other)
+            right = [(padded(d2), c2) for d2, c2 in other.terms.items()]
             terms: dict[Diagram, Coeff] = {}
             for d1, c1 in self.terms.items():
-                for d2, c2 in other.terms.items():
-                    d = multiply(d1, d2)
-                    acc = terms.get(d, 0) + c1 * c2
-                    if acc:
-                        terms[d] = acc
-                    else:
-                        terms.pop(d, None)
+                product = gather(d1)
+                for p2, c2 in right:
+                    d = product(p2)
+                    terms[d] = terms.get(d, 0) + c1 * c2
             out = AlgebraElement(self.n)
-            out.terms = terms
+            out.terms = {d: c for d, c in terms.items() if c}
             return out
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -127,12 +127,6 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def star(self) -> "AlgebraElement":
-        """Flip every diagram; an anti-automorphism of the algebra."""
-        out = AlgebraElement(self.n)
-        out.terms = {star(d): c for d, c in self.terms.items()}
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb, factorial, prod
 
 from .diagrams import monoid_order
-from .specht import all_shapes
+from .specht import Shape, all_shapes, conjugate
 
 DEFAULT_MAX_CELLS = 10_000_000
 
@@ -65,6 +65,33 @@ def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
     terms = monoid_order(r) if kind == "sym" else factorial(r + 1)
     check_cap(
         f"{kind} output cells terms*(n+1) at r={r}, n={n}", terms * (n + 1), max_cells
+    )
+
+
+def quasi_idempotent_pairs(shape: Shape, n: int) -> int:
+    """A bound on the term pairs ``tableau_quasi_idempotent`` multiplies for
+    a tableau of the shape: starting from 1 it multiplies by factors f_i of
+    |f_i| terms, (h+1)! for a column antisymmetrizer on h vertices, |R_k|
+    for a row symmetrizer on k vertices and 1 for each deletion, and the
+    product before f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
+    sizes = [factorial(h + 1) for h in conjugate(tuple(shape))]
+    sizes += [monoid_order(k) for k in shape] + [1] * (n - sum(shape))
+    order = monoid_order(n)
+    pairs, terms = 0, 1
+    for size in sizes:
+        pairs += min(terms, order) * size
+        terms *= size
+    return pairs
+
+
+def check_quasi_idempotent_cap(shape: Shape, n: int, max_cells: int) -> None:
+    """Refuse building the quasi-idempotent of a tableau of the shape when
+    ``quasi_idempotent_pairs`` exceeds ``max_cells``."""
+    label = ",".join(map(str, shape)) or "empty"
+    check_cap(
+        f"quasi-idempotent term pairs at shape ({label}), n={n}",
+        quasi_idempotent_pairs(shape, n),
+        max_cells,
     )
 
 

@@ -149,6 +149,7 @@ def cmd_e_element(args, parser) -> int:
     shape = _parse_shape(args.shape, parser)
     if sum(shape) > n:
         parser.error(f"shape {args.shape} does not fit inside 1..{n}")
+    caps.check_quasi_idempotent_cap(shape, n, args.max_cells)
     t = (
         specht.column_filled_tableau(shape, n)
         if args.kind == "col"
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, help="size of the initial segment; defaults to n")
     p.add_argument("--kind", choices=["sym", "anti"], default="sym")
 
-    p = add("e-element", cmd_e_element, help="quasi-idempotent of a canonical tableau")
+    p = add("e-element", cmd_e_element, capped=True, help="quasi-idempotent of a canonical tableau")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="shape", required=True, help="decreasing comma list; 'empty' allowed")
     p.add_argument("--kind", choices=["row", "col"], default="row")

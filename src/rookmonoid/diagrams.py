@@ -9,7 +9,9 @@ for "undefined".
 Permutations are the diagrams of full rank and act on the right:
 (i)(vw) = ((i)v)w.  Composing diagrams stacks the left factor on top of the
 right factor and follows paths, which restricts to that convention on
-permutations.
+permutations.  A path from top vertex a ends at d2[d1[a]], or nowhere when
+either step is missing, so the product is one gather: d1's entries read off
+the padded right factor ``(0,) + d2``, whose slot 0 holds the missing step.
 
 >>> multiply((0, 2), (2, 1))
 (0, 1)
@@ -22,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .reporting import assertion, report
 
@@ -92,18 +95,36 @@ def generators(n: int) -> tuple[Diagram, ...]:
     return tuple(swaps + [generator(n, "p", i) for i in range(1, n + 1)])
 
 
+def gather(d1: Sequence[int]) -> Callable[[tuple[int, ...]], Diagram]:
+    """The left factor d1 as a function of the padded right factor:
+    ``gather(d1)(padded(d2)) == multiply(d1, d2)``.  Build it once per left
+    factor to compose that factor with many right factors."""
+    if len(d1) > 1:
+        return itemgetter(*d1)
+    if d1:  # itemgetter(b) returns a bare entry, not a 1-tuple
+        b = d1[0]
+        return lambda right: (right[b],)
+    return lambda right: ()
+
+
+def padded(d2: Sequence[int]) -> tuple[int, ...]:
+    """``(0,) + d2``: slot b holds the image of bottom vertex b, and slot 0
+    the 0 of an isolated top vertex of the left factor."""
+    return (0, *d2)
+
+
 def multiply(d1: Sequence[int], d2: Sequence[int]) -> Diagram:
     """Compose two diagrams, d1 acting first.
 
     Stacking d1 above d2, top vertex a survives only when its path runs
-    through both factors.
+    through both factors: (d1 d2)[a] = d2[d1[a]], read by ``gather``.
 
     >>> multiply((0, 2), (2, 1))
     (0, 1)
     """
     if len(d1) != len(d2):
         raise ValueError(f"size mismatch: {len(d1)} vs {len(d2)}")
-    return tuple(d2[b - 1] if b else 0 for b in d1)
+    return gather(d1)(padded(d2))
 
 
 def star(d: Sequence[int]) -> Diagram:

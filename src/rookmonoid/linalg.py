@@ -37,9 +37,6 @@ class SparseMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
@@ -231,10 +228,6 @@ def row_space(m: SparseMatrix) -> SpanBasis:
         if basis.dimension == m.cols:
             break
     return basis
-
-
-def rank(m: SparseMatrix) -> int:
-    return row_space(m).dimension
 
 
 def nullspace(m: SparseMatrix) -> list[dict[int, int]]:

@@ -163,15 +163,21 @@ def tabloid_index(shape: Shape, n: int) -> dict[Tabloid, int]:
     return {tb: i for i, tb in enumerate(all_tabloids(shape, n))}
 
 
-def act_on_tabloid(d: Sequence[int], tb: Tabloid, n: int) -> Tabloid | None:
-    if len(d) != n:
-        raise ValueError(f"size mismatch: {len(d)} vs {n}")
-    partner = diagrams.star(d)
+def partner_map(d: Sequence[int]) -> tuple[int, ...]:
+    """``diagrams.padded(diagrams.star(d))``: slot e holds the top partner
+    of bottom vertex e, or 0 when e is isolated.  Build it once per diagram
+    and pass it to ``act_on_tabloid``."""
+    return diagrams.padded(diagrams.star(d))
+
+
+def act_on_tabloid(partner: tuple[int, ...], tb: Tabloid) -> Tabloid | None:
+    """The tabloid with each entry e renamed to ``partner[e]``, for the
+    ``partner_map`` of a diagram; ``None`` when an entry has no partner."""
     rows = []
     for row in tb:
         new_row = []
         for e in row:
-            a = partner[e - 1]
+            a = partner[e]
             if a == 0:
                 return None
             new_row.append(a)
@@ -185,16 +191,12 @@ def act_on_tabloid_vector(
     """Extend the tabloid action linearly to an algebra element."""
     out: dict[Tabloid, Coeff] = {}
     for d, coeff in a.terms.items():
+        partner = partner_map(d)
         for tb, c in vec.items():
-            image = act_on_tabloid(d, tb, a.n)
-            if image is None:
-                continue
-            acc = out.get(image, 0) + coeff * c
-            if acc:
-                out[image] = acc
-            else:
-                out.pop(image, None)
-    return out
+            image = act_on_tabloid(partner, tb)
+            if image is not None:
+                out[image] = out.get(image, 0) + coeff * c
+    return {tb: c for tb, c in out.items() if c}
 
 
 def polytabloid(t: Tableau) -> dict[Tabloid, int]:
@@ -232,8 +234,8 @@ def _swap_maps(shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
     tabloids = all_tabloids(shape, n)
     index = tabloid_index(shape, n)
     return tuple(
-        tuple(index[act_on_tabloid(swap, tb, n)] for tb in tabloids)
-        for swap in (diagrams.generator(n, "s", i) for i in range(1, n))
+        tuple(index[act_on_tabloid(partner, tb)] for tb in tabloids)
+        for partner in (partner_map(diagrams.generator(n, "s", i)) for i in range(1, n))
     )
 
 

@@ -18,9 +18,10 @@ from rookmonoid.diagrams import (
     identity,
     monoid_order,
     perm_length,
+    star,
 )
 from rookmonoid.ideals import IdealSpan, two_sided_ideal
-from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
+from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space
 from rookmonoid.specht import (
     Tableau,
     Tabloid,
@@ -47,6 +48,40 @@ def isolated_top(d: tuple[int, ...]) -> tuple[int, ...]:
 def isolated_bottom(d: tuple[int, ...]) -> tuple[int, ...]:
     hit = set(d)
     return tuple(b for b in range(1, len(d) + 1) if b not in hit)
+
+
+def compose_by_paths(d1: tuple[int, ...], d2: tuple[int, ...]) -> tuple[int, ...]:
+    """Follow each top vertex of d1 to its bottom partner b, then through d2:
+    0 when either step is missing.  The reference for the gather in
+    ``diagrams.multiply``."""
+    if len(d1) != len(d2):
+        raise ValueError(f"size mismatch: {len(d1)} vs {len(d2)}")
+    return tuple(d2[b - 1] if b else 0 for b in d1)
+
+
+def product_by_terms(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a b summed one term pair at a time through ``compose_by_paths``; the
+    reference for ``AlgebraElement.__mul__``."""
+    terms: dict = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            d = compose_by_paths(d1, d2)
+            terms[d] = terms.get(d, 0) + c1 * c2
+    return AlgebraElement(a.n, terms)
+
+
+def act_on_tabloid_vector_by_terms(a: AlgebraElement, vec: dict) -> dict:
+    """Each term of a renames the entries of each tabloid to their top
+    partners, dropping a tabloid with an entry on an isolated bottom vertex;
+    the reference for ``specht.act_on_tabloid_vector``."""
+    out: dict = {}
+    for d, coeff in a.terms.items():
+        partner = {b: top for top, b in enumerate(d, start=1) if b}
+        for tb, c in vec.items():
+            if all(e in partner for row in tb for e in row):
+                image = tuple(tuple(sorted(partner[e] for e in row)) for row in tb)
+                out[image] = out.get(image, 0) + coeff * c
+    return {tb: c for tb, c in out.items() if c}
 
 
 def tabloid_of(t: Tableau) -> Tabloid:
@@ -111,6 +146,19 @@ def standard_tableau_count(shape: tuple[int, ...]) -> int:
         if ok:
             count += 1
     return count
+
+
+def element_star(a: AlgebraElement) -> AlgebraElement:
+    """Flip every diagram; an anti-automorphism of the algebra."""
+    return AlgebraElement(a.n, {star(d): c for d, c in a.terms.items()})
+
+
+def matrix_rank(m: SparseMatrix) -> int:
+    return row_space(m).dimension
+
+
+def matrix_is_zero(m: SparseMatrix) -> bool:
+    return not m.entries
 
 
 def mat_vec(m: SparseMatrix, x: dict) -> dict:

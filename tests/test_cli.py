@@ -11,12 +11,16 @@ from rookmonoid.caps import (
     DEFAULT_MAX_CELLS,
     SizeCapError,
     check_level_cap,
+    check_quasi_idempotent_cap,
     check_specht_cap,
     check_symmetrizer_cap,
     level_work,
+    quasi_idempotent_pairs,
 )
+from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
+from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +285,46 @@ def test_symmetrizer_guard_admits_n7():
     with pytest.raises(SizeCapError) as exc:
         check_symmetrizer_cap("anti", 3, 4, 119)
     assert exc.value.value == 120
+
+
+def test_e_element_refuses_n8(capsys):
+    started = time.monotonic()
+    code = main(["e-element", "--n", "8", "--lambda", "8"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "quasi-idempotent term pairs at shape (8), n=8 = 369083134" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_e_element_guard_admits_n6():
+    # (6) at n = 6: six one-vertex antisymmetrizers of 2 terms each, then
+    # 64 * 13327 pairs with the row symmetrizer; not run, only guarded
+    check_quasi_idempotent_cap((6,), 6, DEFAULT_MAX_CELLS)
+    with pytest.raises(SizeCapError) as exc:
+        check_quasi_idempotent_cap((6,), 6, 853_053)
+    assert exc.value.value == 853_054
+    assert quasi_idempotent_pairs((7,), 7) == 16_758_270 > DEFAULT_MAX_CELLS
+
+
+def test_quasi_idempotent_bound_covers_counted_pairs(monkeypatch):
+    pairs = []
+    mul = AlgebraElement.__mul__
+
+    def counting_mul(a, b):
+        pairs.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting_mul)
+    for n in range(1, 6):
+        for shape in all_shapes(n):
+            for fill in (row_filled_tableau, column_filled_tableau):
+                pairs.clear()
+                tableau_quasi_idempotent(fill(shape, n))
+                assert sum(pairs) <= quasi_idempotent_pairs(shape, n), (shape, n)
+                if shape == (n,):  # the bound is exact on one-row shapes
+                    assert sum(pairs) == quasi_idempotent_pairs(shape, n)
 
 
 def test_usage_error_bad_diagram(capsys):

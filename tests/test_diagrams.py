@@ -35,6 +35,17 @@ def test_identity_and_generators():
         dg.generator(2, "q", 1)
 
 
+def test_multiply_matches_path_following():
+    for n in (1, 2, 3):
+        diags = dg.all_diagrams(n)
+        for a in diags:
+            for b in diags:
+                assert dg.multiply(a, b) == oracles.compose_by_paths(a, b), (a, b)
+    assert dg.multiply((1,), (0,)) == (0,)
+    assert dg.multiply((1,), (1,)) == (1,)
+    assert dg.multiply((), ()) == ()
+
+
 def test_identity_is_neutral():
     for n in range(1, 5):
         one = dg.identity(n)

@@ -3,10 +3,11 @@ defines is used by the package itself.
 
 Plain ``ast`` scans.  A name bound by ``import`` or ``from ... import`` must
 appear somewhere in the module as a name (an attribute access ``math.comb``
-counts as a use of ``math``).  A function, class or method must be named
-somewhere in the package outside its own definition, so ``src/`` holds no
-API that only the tests use.  ``__init__`` is skipped, since re-exporting
-is its job, and so are ``from __future__`` imports and dunder methods.
+counts as a use of ``math``).  A function, class or method must be
+referred to somewhere in the package, with each name resolved to the
+definition its module binds, so ``src/`` holds no API that only the tests
+use.  ``__init__`` is skipped, since re-exporting is its job, and so are
+``from __future__`` imports and dunder methods.
 """
 
 import ast
@@ -49,31 +50,58 @@ BENCHMARK_ONLY = {"tensor.element_matrix", "tensor.annihilator_basis"}
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Dotted name of each module-level function or class, and each method,
-    in ``sources`` (module name -> source) whose name appears nowhere else
-    in them as a name, an attribute or an imported name."""
-    defined, used = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    in ``sources`` (module name -> source) that nothing in them refers to.
+
+    A name refers to the definition it is bound to in its module: its own
+    top-level definition, or the one ``from .x import name`` brings in.
+    ``x.name`` refers to module x's definition when x is a module bound by
+    ``from . import x``.  Any other ``obj.name`` refers to the methods
+    ``name`` of the classes the module itself names, or to every method
+    ``name`` when it names none of their classes.  So a test-only definition
+    that shares its name with a used one in another module is still found.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined: dict[tuple[str, str | None, str], str] = {}  # (module, class, name) -> dotted
+    owners: dict[str, set[tuple[str, str | None, str]]] = {}  # method name -> its keys
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{module}.{node.name}", node.name))
+                defined[(module, None, node.name)] = f"{module}.{node.name}"
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{module}.{node.name}.{f.name}", f.name)
-                    for f in node.body
-                    if isinstance(f, ast.FunctionDef)
-                ]
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        key = (module, node.name, f.name)
+                        defined[key] = f"{module}.{node.name}.{f.name}"
+                        owners.setdefault(f.name, set()).add(key)
+    used = set()
+    for module, tree in trees.items():
+        bound = {name: (m, None, name) for m, c, name in defined if m == module and c is None}
+        modules = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    if node.module is None:
+                        modules[a.asname or a.name] = a.name
+                    else:
+                        bound[a.asname or a.name] = (node.module.split(".")[-1], None, a.name)
+        here, attrs = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in bound:
+                here.add(bound[node.id])
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    here.add((modules[node.value.id], None, node.attr))
+                else:
+                    attrs.add(node.attr)
+        named = {(m, name) for m, _, name in here}
+        for attr in attrs:
+            candidates = owners.get(attr, set())
+            used |= {k for k in candidates if k[:2] in named} or candidates
+        used |= here
     return sorted(
         dotted
-        for dotted, name in defined
-        if not (name.startswith("__") and name.endswith("__")) and name not in used
+        for key, dotted in defined.items()
+        if not (key[2].startswith("__") and key[2].endswith("__")) and key not in used
     )
 
 
@@ -81,11 +109,25 @@ def test_scan_flags_an_unused_definition():
     sources = {
         "a": "def used():\n    pass\n\nclass C:\n    def __eq__(self, o):\n        return 0\n"
         "    def method(self):\n        pass\n\ndef planted():\n    pass\n",
-        "b": "from a import used\nused()\nC().method()\n",
+        "b": "from a import C, used\nused()\nC().method()\n",
     }
     assert unreferenced_definitions(sources) == ["a.planted"]
     sources["b"] = "from a import used\nused()\n"
     assert unreferenced_definitions(sources) == ["a.C", "a.C.method", "a.planted"]
+
+
+def test_scan_flags_a_definition_named_like_a_used_one():
+    # a.rank, E.star and M.is_zero share their names with used definitions
+    # elsewhere, and nothing refers to them
+    sources = {
+        "a": "def rank(m):\n    pass\n",
+        "b": "def rank(d):\n    pass\n\ndef star(d):\n    pass\n\nclass E:\n"
+        "    def star(self):\n        pass\n    def is_zero(self):\n        pass\n",
+        "c": "class M:\n    def is_zero(self):\n        pass\n",
+        "d": "from . import b\nfrom .b import E, star\nb.rank(star(1))\nE().is_zero()\n",
+        "e": "from .c import M\nM()\nrank = 0\nprint(rank)\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.rank", "b.E.star", "c.M.is_zero"]
 
 
 def test_package_defines_no_test_only_api():

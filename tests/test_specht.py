@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rookmonoid.algebra import AlgebraElement
+from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
 from rookmonoid.diagrams import (
     all_diagrams,
     generator,
@@ -23,6 +23,7 @@ from rookmonoid.specht import (
     conjugate,
     is_shape,
     partitions_of,
+    partner_map,
     polytabloid,
     row_filled_tableau,
     specht_basis,
@@ -32,6 +33,7 @@ from rookmonoid.specht import (
 
 from oracles import (
     act_on_tableau,
+    act_on_tabloid_vector_by_terms,
     specht_basis_by_polytabloids,
     standard_tableau_count,
     tabloid_of,
@@ -139,7 +141,7 @@ def test_act_on_tabloid_matches_tableau_action():
     for d in all_diagrams(n):
         for t in all_tableaux(shape, n):
             via_tableau = act_on_tableau(d, t)
-            via_tabloid = act_on_tabloid(d, tabloid_of(t), n)
+            via_tabloid = act_on_tabloid(partner_map(d), tabloid_of(t))
             if via_tableau is None:
                 assert via_tabloid is None
             else:
@@ -166,7 +168,7 @@ def test_identity_acts_trivially():
     n = 3
     for shape in ((2,), (1, 1), (2, 1)):
         for tb in all_tabloids(shape, n):
-            assert act_on_tabloid(identity(n), tb, n) == tb
+            assert act_on_tabloid(partner_map(identity(n)), tb) == tb
 
 
 def test_tabloid_vector_action_is_left_module():
@@ -261,3 +263,16 @@ def test_specht_module_is_invariant():
             for d in all_diagrams(n)[::3]:
                 moved = act_on_tabloid_vector(AlgebraElement.from_diagram(d), e)
                 assert basis.contains(vector_coordinates(moved, shape, n))
+
+
+def test_tabloid_vector_action_matches_term_by_term_oracle():
+    for n in (1, 2, 3, 4):
+        shapes = all_shapes(n)
+        elements = [AlgebraElement.from_diagram(d) for d in all_diagrams(n)[::5]]
+        elements += [tableau_quasi_idempotent(row_filled_tableau(s, n)) for s in shapes]
+        for shape in shapes:
+            tabloids = all_tabloids(shape, n)
+            for row in specht_basis(shape, n).int_rows():
+                vec = {tabloids[i]: c for i, c in row.items()}
+                for a in elements:
+                    assert act_on_tabloid_vector(a, vec) == act_on_tabloid_vector_by_terms(a, vec)

@@ -12,7 +12,7 @@ from rookmonoid.algebra import (
 )
 from rookmonoid.caps import SizeCapError, phi_entry_count
 from rookmonoid.diagrams import all_diagrams, generator, identity, monoid_order, multiply
-from rookmonoid.linalg import SparseMatrix, matmul, nullspace, rank
+from rookmonoid.linalg import SparseMatrix, matmul, nullspace
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.tensor import (
     annihilator_basis,
@@ -24,7 +24,7 @@ from rookmonoid.tensor import (
     tensor_index,
 )
 
-from oracles import mat_vec
+from oracles import mat_vec, matrix_rank as rank
 
 
 def test_tensor_dim():
