@@ -7,8 +7,9 @@ I_k from the report.  A second interpreter times the Specht count
 (``annihilator_dimension_formula``) alone, the part of the check that does
 not run level by level.  Also times the refusals at (2, 7) and (1, 8),
 ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
-the quasi-idempotent products: ``verify-blocks`` at n = 4 and 5,
-``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``.
+the quasi-idempotent products and block ideals: ``verify-blocks`` at n = 4
+and 5 and its refusal at n = 6, ``e-element --n 6 --lambda 6`` and the
+refusal of ``--n 8 --lambda 8``.
 Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json
@@ -31,6 +32,7 @@ SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
 PRODUCTS = [  # (argv, expected exit code)
     (["verify-blocks", "--n", "4"], 0),
     (["verify-blocks", "--n", "5"], 0),
+    (["verify-blocks", "--n", "6"], 3),
     (["e-element", "--n", "6", "--lambda", "6"], 0),
     (["e-element", "--n", "8", "--lambda", "8"], 3),
 ]

@@ -124,6 +124,33 @@ def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     check_cap(f"groupoid level work at m={m}, n={n}", level_work(m, n), max_cells)
 
 
+def standard_tableaux(shape: Shape) -> int:
+    """f_lambda, the number of standard tableaux of the shape, by the hook
+    length formula."""
+    cols = conjugate(tuple(shape))
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
+    return factorial(sum(shape)) // hooks
+
+
+def block_entries(n: int) -> int:
+    """A bound on the entries the echelon rows of every block ideal at n
+    store.  The block of shape lambda has dimension
+    D = (C(n,|lambda|) f_lambda)^2, and each reduced echelon row of a
+    D-dimensional span in |R_n| coordinates meets only its own pivot and
+    the |R_n| - D non-pivot columns."""
+    order = monoid_order(n)
+    dims = [(comb(n, sum(shape)) * standard_tableaux(shape)) ** 2 for shape in all_shapes(n)]
+    return sum(d * (order - d + 1) for d in dims)
+
+
+def check_block_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    """Refuse the block decomposition at n when the monoid order, then
+    ``block_entries``, exceeds ``max_cells``; the order goes first, so an
+    absurd n is refused before its shapes are listed."""
+    check_order_cap(n, max_cells)
+    check_cap(f"block ideal echelon entries at n={n}", block_entries(n), max_cells)
+
+
 def check_specht_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     """Refuse the Specht bases of every shape at n when their swap maps are
     too large: each shape lambda of r boxes stores n - 1 maps over its

@@ -204,6 +204,7 @@ def cmd_verify_presentation(args, parser) -> int:
 
 
 def cmd_verify_blocks(args, parser) -> int:
+    caps.check_block_cap(args.n, args.max_cells)
     return _report_exit(ideals.check_block_decomposition(args.n), args)
 
 
@@ -255,7 +256,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
         ("faithful", ideals.check_faithful_action, faithful, capped, caps.check_tensor_cap),
         ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), capped,
          caps.check_level_cap),
-        ("blocks", ideals.check_block_decomposition, small, {}, None),
+        ("blocks", ideals.check_block_decomposition, small, {}, caps.check_block_cap),
         ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3], {}, None),
         ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), {}, None),
         ("specht-dimensions", verify.check_specht_dimension_sum, small, {}, None),
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-presentation", cmd_verify_presentation, help="check the defining relations")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("verify-blocks", cmd_verify_blocks, help="block ideal decomposition")
+    p = add("verify-blocks", cmd_verify_blocks, capped=True, help="block ideal decomposition")
     p.add_argument("--n", type=int, required=True)
 
     p = add("verify-lemma-3-10", cmd_verify_orthogonality, help="quasi-idempotents kill other shapes")

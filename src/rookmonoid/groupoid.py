@@ -17,6 +17,10 @@ Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
 out the marked vector; its kernel is computed on one input word per
 relabelling orbit of letters.
+
+Two-sided ideals and products of elements are read off the same levels: an
+element's ideal is built from S_k ideals (``ideal_of_blocks``), and its
+products from the blocks' matrix products (``level_product``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .diagrams import (
     generator,
     generators,
     identity,
+    monoid_order,
     multiplication_maps,
     multiply,
 )
@@ -197,3 +202,90 @@ def level_ideal(k: int, seeds: Iterable[Mapping[int, int]]) -> SpanBasis:
     """The two-sided ideal of F S_k generated by ``seeds``: their span
     saturated under the adjacent swaps on both sides."""
     return saturate(factorial(k), _swap_maps(k), seeds)
+
+
+def _level_diagram(n: int, dom: Sequence[int], ran: Sequence[int], sigma: Perm) -> Diagram:
+    """The diagram t with domain dom, range ran and sigma_t = sigma."""
+    img = [0] * n
+    for a, s in zip(dom, sigma):
+        img[a - 1] = ran[s - 1]
+    return tuple(img)
+
+
+def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
+    """The two-sided ideal of F R_n generated by an element whose level
+    blocks are ``blocks``, in diagram coordinates.
+
+    floor is an algebra isomorphism onto the sum over k of M_{C(n,k)}(F S_k)
+    (``basis_change_failures`` certifies it at n).  In a product of matrix
+    algebras over unital rings, the ideal an element generates is the sum
+    over k of M(J_k), J_k the ideal of F S_k generated by the entries of its
+    level-k block: the unit of each factor picks out its level, and
+    E(a, dom) x E(ran, b) moves the (dom, ran) entry anywhere.  So the
+    ideal is spanned by floor of E(dom, ran) (x) x, that is
+    sum over sigma of x_sigma floor(t), t = ``_level_diagram(dom, ran, sigma)``,
+    over every pair of k-subsets dom, ran and every echelon row x of J_k.
+    These are independent, so each insert adds one dimension.
+    """
+    index = diagram_index(n)
+    basis = SpanBasis(monoid_order(n))
+    for k, block in enumerate(blocks):
+        rows = level_ideal(k, block.values()).int_rows()
+        if not rows:
+            continue
+        perms = all_permutations(k)
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        for dom in subsets:
+            for ran in subsets:
+                floors = [mobius_vector(_level_diagram(n, dom, ran, s), index) for s in perms]
+                for x in rows:
+                    vec: dict[int, int] = {}
+                    for j, c in x.items():
+                        for i, v in floors[j].items():
+                            vec[i] = vec.get(i, 0) + c * v
+                    basis.insert(vec)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _product_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """Row i maps the index of tau to that of sigma_i tau, indices into
+    ``all_permutations(k)``."""
+    perms = all_permutations(k)
+    return multiplication_maps(perms, perms, ())
+
+
+def level_product(x: Sequence[Block], y: Sequence[Block]) -> list[Block]:
+    """The level blocks of a product, from the level blocks x and y of its
+    factors; zero entries are left out, as in ``level_blocks``.
+
+    floor(d) floor(e) = floor(d e) when ran d = dom e and 0 otherwise, and
+    then sigma_(d e) = sigma_d sigma_e, so level by level the blocks
+    multiply as matrices over F S_k: x's (dom, mid) entry meets y's
+    (mid, ran) entry, and their entries multiply through the product table
+    of S_k.
+    """
+    out: list[Block] = []
+    for k, (bx, by) in enumerate(zip(x, y)):
+        product: Block = {}
+        if bx and by:
+            table = _product_table(k)
+            after: dict[tuple[int, ...], list] = {}
+            for (mid, ran), b in by.items():
+                after.setdefault(mid, []).append((ran, b))
+            for (dom, mid), a in bx.items():
+                for ran, b in after.get(mid, ()):
+                    entry = product.setdefault((dom, ran), {})
+                    for i, c in a.items():
+                        row = table[i]
+                        for j, e in b.items():
+                            w = row[j]
+                            entry[w] = entry.get(w, 0) + c * e
+        out.append(
+            {
+                key: kept
+                for key, entry in product.items()
+                if (kept := {w: c for w, c in entry.items() if c})
+            }
+        )
+    return out

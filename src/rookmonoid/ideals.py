@@ -2,15 +2,19 @@
 them.
 
 An ideal is held as an echelon span inside the coordinate space indexed by
-the canonical diagram order.  Saturation is breadth-first: multiply pending
-vectors by every generator on both sides and insert the images until nothing
-new appears.  A generator times a diagram is a single diagram, so each
-generator acts on coordinates as a precomputed index map.
+the canonical diagram order.  It is built level by level in the groupoid
+basis (``groupoid.ideal_of_blocks``), not by saturating under the
+generators, and products of block representatives are read off the same
+levels (``groupoid.level_product``).  A generator times a diagram is a
+single diagram, so each generator acts on coordinates as a precomputed
+index map, which the one-dimensional ideal check applies.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -38,11 +42,13 @@ from .diagrams import (
 from .groupoid import (
     acts_as_zero,
     basis_change_failures,
+    ideal_of_blocks,
     level_annihilator,
     level_blocks,
     level_ideal,
+    level_product,
 )
-from .linalg import SpanBasis, saturate
+from .linalg import SpanBasis, apply_map
 from .reporting import assertion, report
 from .tensor import phi_rank
 
@@ -67,15 +73,13 @@ class IdealSpan:
 
 
 def two_sided_ideal(a: AlgebraElement) -> IdealSpan:
-    """Saturate the span of ``a`` under both-sided generator multiplication.
-
-    The saturated span is closed under the generators, hence under the
-    whole monoid: it is the ideal.
-    """
+    """The two-sided ideal ``a`` generates, built from the S_k ideals of its
+    level blocks in the groupoid basis (``groupoid.ideal_of_blocks``, which
+    gives the argument).  The echelon form is canonical, so the basis is the
+    one any other construction of the same span yields."""
     if a.is_zero():
         raise ValueError("the zero element generates the zero ideal")
-    n = a.n
-    return IdealSpan(saturate(monoid_order(n), _generator_maps(n), [element_coordinates(a)]))
+    return IdealSpan(ideal_of_blocks(a.n, level_blocks(a)))
 
 
 @lru_cache(maxsize=None)
@@ -110,20 +114,27 @@ def check_one_dimensional_ideals(n: int) -> dict:
         ("antisymmetrizer", antisymmetrizer(everything, n), {"s": -1, "p": 0}),
         ("projector", full_projector(n), {"s": 1, "p": 1}),
     ]
+    gens = generators(n)
+    maps = _generator_maps(n)
     assertions = []
     for name, elem, eigen in cases:
-        d0, c0 = next(iter(elem.terms.items()))
+        coords = element_coordinates(elem)
+        j0, c0 = next(iter(coords.items()))
+
+        def scaled(r):
+            return {j: r * c for j, c in coords.items()} if r else {}
+
         outside, bad = [], []
-        for d in generators(n):
+        for d, left, right in zip(gens, maps, maps[len(gens):]):
             kind = "s" if is_permutation(d) else "p"
             # s_i and p_i both first move vertex i
             label = f"{kind}_{next(a for a, b in enumerate(d, start=1) if a != b)}"
-            g = AlgebraElement.from_diagram(d)
-            products = (g * elem, elem * g)
-            # the one candidate multiple: x's d0 coefficient over elem's
-            if any(x != elem.scale(Fraction(x.terms.get(d0, 0), c0)) for x in products):
+            # the coordinates of g e and e g
+            products = (apply_map(left, coords), apply_map(right, coords))
+            # the one candidate multiple: x's j0 coordinate over e's
+            if any(x != scaled(Fraction(x.get(j0, 0), c0)) for x in products):
                 outside.append(label)
-            expect = elem.scale(eigen[kind])
+            expect = scaled(eigen[kind])
             if any(x != expect for x in products):
                 bad.append(label)
         assertions.append(
@@ -143,12 +154,58 @@ def check_one_dimensional_ideals(n: int) -> dict:
     return report("one-dimensional-ideals", {"n": n}, assertions)
 
 
+def _certificate_assertion(n: int) -> dict:
+    """That ``basis_change_failures`` certifies the groupoid basis at n, on
+    which every level-by-level check rests."""
+    bad_products, unit_holds = basis_change_failures(n)
+    certified = not bad_products and unit_holds
+    return assertion(
+        "groupoid basis change is certified at n",
+        certified,
+        {"products": monoid_order(n) * (2 * n - 1)}
+        if certified
+        else {
+            "failing": [[list(d), list(g)] for d, g in bad_products[:5]],
+            "unit": unit_holds,
+        },
+    )
+
+
+def block_pairs(
+    sizes: list[tuple[specht.Shape, int]], seed: int | None
+) -> list[tuple[specht.Shape, int, specht.Shape, int]]:
+    """Pairs (s1, i, s2, j) of basis indices i < size of s1, j < size of s2
+    from distinct blocks s1 != s2, ordered by s1, s2, i, j: all of them when
+    ``seed`` is None, else the ``SAMPLE_PAIRS`` that
+    ``random.Random(seed).sample`` draws from that list.
+
+    ``sample`` picks positions from the length alone, so sampling
+    ``range(total)`` picks the same positions; each is decoded through the
+    running counts of the (s1, s2) groups instead of listing every pair.
+    """
+    groups = [(s1, k1, s2, k2) for s1, k1 in sizes for s2, k2 in sizes if s1 != s2]
+    starts = list(itertools.accumulate((k1 * k2 for _, k1, _, k2 in groups), initial=0))
+    total = starts[-1]
+    picks = range(total) if seed is None else random.Random(seed).sample(range(total), SAMPLE_PAIRS)
+    pairs = []
+    for p in picks:
+        g = bisect_right(starts, p) - 1
+        s1, _, s2, k2 = groups[g]
+        i, j = divmod(p - starts[g], k2)
+        pairs.append((s1, i, s2, j))
+    return pairs
+
+
 def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     """The block ideals are pairwise orthogonal and their dimensions, the
     squared Specht dimensions, add up to the monoid order.
 
-    Orthogonality multiplies basis elements of distinct blocks: every pair
-    for n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that."""
+    Both facts are read in the groupoid basis, so its certificate at n comes
+    first.  Each block ideal is built from S_k ideals (``two_sided_ideal``),
+    and orthogonality multiplies echelon basis elements of distinct blocks
+    through their level blocks (``groupoid.level_product``): every pair for
+    n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that.  Each sampled
+    basis element is converted to level blocks once."""
     exhaustive = n <= 3
     shapes = specht.all_shapes(n)
     blocks = {shape: block_ideal(shape, n) for shape in shapes}
@@ -162,6 +219,7 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
         for shape in shapes
     }
     assertions = [
+        _certificate_assertion(n),
         assertion(
             "block dimension is the squared Specht dimension",
             dims == expected,
@@ -174,23 +232,20 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
         ),
     ]
 
-    reps = {
-        shape: [element_from_coordinates(n, row) for row in blocks[shape].basis.int_rows()]
-        for shape in shapes
-    }
-    pairs = [
-        (s1, i, s2, j)
-        for s1 in shapes
-        for s2 in shapes
-        if s1 != s2
-        for i in range(len(reps[s1]))
-        for j in range(len(reps[s2]))
-    ]
-    if not exhaustive:
-        pairs = random.Random(seed).sample(pairs, SAMPLE_PAIRS)
+    rows = {shape: blocks[shape].basis.int_rows() for shape in shapes}
+    pairs = block_pairs(
+        [(shape, len(rows[shape])) for shape in shapes], None if exhaustive else seed
+    )
+    reps: dict[tuple[specht.Shape, int], list] = {}
+
+    def rep(shape: specht.Shape, i: int) -> list:
+        if (shape, i) not in reps:
+            reps[shape, i] = level_blocks(element_from_coordinates(n, rows[shape][i]))
+        return reps[shape, i]
+
     bad = []
     for s1, i, s2, j in pairs:
-        if not (reps[s1][i] * reps[s2][j]).is_zero():
+        if any(level_product(rep(s1, i), rep(s2, j))):
             bad.append(
                 {"left": ",".join(map(str, s1)), "right": ",".join(map(str, s2))}
             )
@@ -234,7 +289,7 @@ def check_specht_orthogonality(
             tableaux = rng.sample(tableaux, sample_tableaux)
         bad = []
         for t in tableaux:
-            e_t = tableau_quasi_idempotent(t)
+            e_t = specht.partner_terms(tableau_quasi_idempotent(t))
             for other in shapes:
                 if other != shape and any(
                     specht.act_on_tabloid_vector(e_t, vec) for vec in bases[other]
@@ -253,7 +308,9 @@ def check_specht_orthogonality(
                 bad[:3] if bad else {"tableaux_checked": len(tableaux)},
             )
         )
-        e_canon = tableau_quasi_idempotent(specht.row_filled_tableau(shape, n))
+        e_canon = specht.partner_terms(
+            tableau_quasi_idempotent(specht.row_filled_tableau(shape, n))
+        )
         survives = any(
             specht.act_on_tabloid_vector(e_canon, vec) for vec in bases[shape]
         )
@@ -347,7 +404,7 @@ def check_annihilator_ideal(
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     check_level_cap(m, n, max_cells)
-    bad_products, unit_holds = basis_change_failures(n)
+    certificate = _certificate_assertion(n)
     blocks = level_blocks(top_antisymmetrizer(m + 1, n))
     alive, outside, ann_dims, ideal_dims = [], [], [], []
     for k, block in enumerate(blocks):
@@ -365,19 +422,10 @@ def check_annihilator_ideal(
     annihilator = sum(comb(n, k) ** 2 * d for k, d in enumerate(ann_dims))
     ideal_dim = sum(comb(n, k) ** 2 * d for k, d in enumerate(ideal_dims))
     expected_dim = annihilator_dimension_formula(m, n)
-    certified = not bad_products and unit_holds
+    certified = certificate["pass"]
     fills = ideal_dims == ann_dims
     assertions = [
-        assertion(
-            "groupoid basis change is certified at n",
-            certified,
-            {"products": monoid_order(n) * (2 * n - 1)}
-            if certified
-            else {
-                "failing": [[list(d), list(g)] for d, g in bad_products[:5]],
-                "unit": unit_holds,
-            },
-        ),
+        certificate,
         assertion("generator acts as zero on the tensor power", not alive, alive[:5] or None),
         assertion(
             "annihilator lies inside the ideal",

@@ -185,13 +185,19 @@ def act_on_tabloid(partner: tuple[int, ...], tb: Tabloid) -> Tabloid | None:
     return tuple(rows)
 
 
+def partner_terms(a: AlgebraElement) -> list[tuple[tuple[int, ...], Coeff]]:
+    """The ``partner_map`` of each term of ``a``, with its coefficient.
+    Build it once per element and pass it to ``act_on_tabloid_vector``."""
+    return [(partner_map(d), c) for d, c in a.terms.items()]
+
+
 def act_on_tabloid_vector(
-    a: AlgebraElement, vec: dict[Tabloid, Coeff]
+    terms: Sequence[tuple[tuple[int, ...], Coeff]], vec: dict[Tabloid, Coeff]
 ) -> dict[Tabloid, Coeff]:
-    """Extend the tabloid action linearly to an algebra element."""
+    """Extend the tabloid action linearly to the algebra element whose
+    ``partner_terms`` are ``terms``."""
     out: dict[Tabloid, Coeff] = {}
-    for d, coeff in a.terms.items():
-        partner = partner_map(d)
+    for partner, coeff in terms:
         for tb, c in vec.items():
             image = act_on_tabloid(partner, tb)
             if image is not None:

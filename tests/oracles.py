@@ -15,13 +15,15 @@ from rookmonoid.diagrams import (
     all_diagrams,
     compose_quadruple,
     coset_reps,
+    generators,
     identity,
     monoid_order,
+    multiplication_maps,
     perm_length,
     star,
 )
-from rookmonoid.ideals import IdealSpan, two_sided_ideal
-from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space
+from rookmonoid.ideals import IdealSpan
+from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space, saturate
 from rookmonoid.specht import (
     Tableau,
     Tabloid,
@@ -174,9 +176,23 @@ def transpose(m: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
 
 
+def two_sided_ideal_by_saturation(a: AlgebraElement) -> IdealSpan:
+    """The span of ``a`` saturated breadth-first under multiplication by
+    every generator on both sides, in all of F R_n.  The saturated span is
+    closed under the generators, hence under the whole monoid: it is the
+    ideal.  The reference for the level-by-level ``two_sided_ideal``; it
+    shares ``saturate`` with it, but not the basis change or the levels."""
+    if a.is_zero():
+        raise ValueError("the zero element generates the zero ideal")
+    n = a.n
+    gens = generators(n)
+    maps = multiplication_maps(all_diagrams(n), gens, gens)
+    return IdealSpan(saturate(monoid_order(n), maps, [element_coordinates(a)]))
+
+
 def two_sided_ideal_exhaustive(a: AlgebraElement) -> IdealSpan:
     """Span of every product D1 * a * D2; quadratic in the monoid order, for
-    cross-checking the saturation at small sizes."""
+    cross-checking the other constructions at small sizes."""
     if a.is_zero():
         raise ValueError("the zero element generates the zero ideal")
     n = a.n
@@ -197,7 +213,7 @@ def annihilator_by_phi_kernel(m: int, n: int) -> tuple[int, int]:
     ``nullspace`` and ``saturate`` with that check, but not the basis
     change or the levels."""
     kernel = nullspace(phi_matrix(m, n))
-    ideal = two_sided_ideal(top_antisymmetrizer(m + 1, n))
+    ideal = two_sided_ideal_by_saturation(top_antisymmetrizer(m + 1, n))
     assert all(ideal.basis.contains(vec) for vec in kernel), (m, n)
     return len(kernel), ideal.dimension
 

@@ -10,6 +10,8 @@ import rookmonoid
 from rookmonoid.caps import (
     DEFAULT_MAX_CELLS,
     SizeCapError,
+    block_entries,
+    check_block_cap,
     check_level_cap,
     check_quasi_idempotent_cap,
     check_specht_cap,
@@ -20,6 +22,7 @@ from rookmonoid.caps import (
 from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
+from rookmonoid.ideals import block_ideal
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 
 
@@ -205,6 +208,46 @@ def test_specht_dims_refuses_n9(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("n, quantity", [
+    (6, "block ideal echelon entries at n=6 = 161460289"),
+    (99, "rook monoid order at n=99"),
+])
+def test_verify_blocks_refuses_large_n(n, quantity, capsys):
+    # n = 99 is refused on the monoid order, before any shape is listed
+    started = time.monotonic()
+    code = main(["verify-blocks", "--n", str(n)])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert quantity in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_verify_all_guards_the_blocks_row(capsys):
+    # every other row of this grid fits in 30,000 cells; blocks(n=4) needs 36,253
+    code = main(["verify-all", "--n", "4", "--m", "1", "--max-cells", "30000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "block ideal echelon entries at n=4 = 36253" in captured.err
+    assert captured.out == ""
+
+
+def test_block_bound_covers_stored_entries():
+    for n in range(1, 5):
+        stored = sum(
+            len(row)
+            for shape in all_shapes(n)
+            for row in block_ideal(shape, n).basis.int_rows()
+        )
+        assert stored <= block_entries(n), n
+    # 2,075,476 entries at n = 5 pass the default cap; not run, only guarded
+    check_block_cap(5, DEFAULT_MAX_CELLS)
+    with pytest.raises(SizeCapError) as exc:
+        check_block_cap(5, 2_075_475)
+    assert exc.value.value == 2_075_476
+
+
 def test_specht_guard_admits_n8():
     # 1,749,482 swap-map entries pass the default cap; not run, only guarded
     check_specht_cap(8, DEFAULT_MAX_CELLS)
@@ -249,7 +292,7 @@ def test_format_is_only_on_specht_dims(capsys):
     "argv, option",
     [
         (["mul", "--diagram", "1,2", "--diagram", "2,1", "--max-cells", "5"], "--max-cells"),
-        (["verify-blocks", "--n", "2", "--max-cells", "5"], "--max-cells"),
+        (["verify-lemma-3-10", "--n", "2", "--max-cells", "5"], "--max-cells"),
         (["verify-lemma-4-4", "--n", "2", "--m", "1", "--max-cells", "5"], "--max-cells"),
         (["factorize", "--diagram", "2,0", "--n", "2"], "--n"),
     ],

@@ -1,23 +1,34 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rookmonoid import groupoid, ideals
-from rookmonoid.algebra import element_from_coordinates, top_antisymmetrizer
+from rookmonoid.algebra import (
+    AlgebraElement,
+    element_from_coordinates,
+    full_projector,
+    tableau_quasi_idempotent,
+    top_antisymmetrizer,
+)
 from rookmonoid.caps import growth_word_count
-from rookmonoid.diagrams import all_diagrams, diagram_index, multiply
+from rookmonoid.diagrams import all_diagrams, diagram_index, identity, multiply
 from rookmonoid.groupoid import (
     basis_change_failures,
     growth_words,
     level_annihilator,
+    level_blocks,
+    level_product,
     mobius_vector,
     relabel,
 )
-from rookmonoid.ideals import check_annihilator_ideal
+from rookmonoid.ideals import block_ideal, check_annihilator_ideal, two_sided_ideal
+from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
 from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
 
-from oracles import annihilator_by_phi_kernel
+from oracles import annihilator_by_phi_kernel, two_sided_ideal_by_saturation
 
 
 def _assertion(rep, name):
@@ -177,3 +188,72 @@ def test_level_blocks_of_the_generator_start_at_level_m_plus_one():
             assert [bool(b) for b in blocks] == [k > m for k in range(n + 1)], (m, n)
             for k, block in enumerate(blocks):
                 assert all(len(dom) == len(ran) == k for dom, ran in block)
+
+
+def test_level_ideal_matches_the_saturation():
+    # the canonical echelon form makes equal spans equal bases, row for row
+    for n in range(1, 5):
+        gens = [top_antisymmetrizer(k, n) for k in range(1, n + 1)]
+        for shape in all_shapes(n):
+            for fill in (row_filled_tableau, column_filled_tableau):
+                gens.append(tableau_quasi_idempotent(fill(shape, n)))
+        for a in gens:
+            assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis, (a, n)
+
+
+def test_level_ideal_spans_several_levels():
+    # 1 - p_1 + p_1 p_2 / 2 has terms on levels 2, 1 and 0 at n = 2
+    a = AlgebraElement(2, {identity(2): 1, (0, 2): -1, (0, 0): Fraction(1, 2)})
+    assert sum(map(bool, level_blocks(a))) == 3
+    assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis
+
+
+@st.composite
+def element_pair(draw, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    diags = all_diagrams(n)
+    coeff = st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+    # few diagrams and small coefficients, so sums often cancel on a level
+    support = st.sampled_from(diags[: draw(st.integers(min_value=1, max_value=len(diags)))])
+    element = st.dictionaries(support, coeff, max_size=6).map(lambda t: AlgebraElement(n, t))
+    return draw(element), draw(element)
+
+
+@settings(max_examples=50, deadline=None)
+@given(element_pair(3))
+def test_level_ideal_matches_the_saturation_on_drawn_elements(pair):
+    for a in pair:
+        if not a.is_zero():
+            assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis
+
+
+def _check_product(x, y):
+    got = level_product(level_blocks(x), level_blocks(y))
+    product = x * y
+    assert got == level_blocks(product), (x, y)
+    assert (not any(got)) == product.is_zero(), (x, y)
+    return product.is_zero()
+
+
+def test_level_product_matches_the_product_of_block_elements():
+    # two echelon rows of one block ideal often multiply to nonzero, rows of
+    # distinct blocks never; the full projector lives on level 0 alone
+    for n in range(1, 5):
+        rows = [
+            element_from_coordinates(n, row)
+            for shape in all_shapes(n)
+            for row in block_ideal(shape, n).basis.int_rows()[:2]
+        ]
+        rows += [full_projector(n), AlgebraElement.one(n)]
+        zeros = [_check_product(x, y) for x in rows for y in rows]
+        assert any(zeros) and not all(zeros), n
+    assert level_blocks(full_projector(3))[0] == {((), ()): {0: 1}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pair(4))
+def test_level_product_matches_the_product_on_drawn_elements(pair):
+    _check_product(*pair)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from rookmonoid import ideals
@@ -11,8 +12,11 @@ from rookmonoid.algebra import (
 )
 from rookmonoid.diagrams import all_diagrams, rank, rank_class_size
 from rookmonoid.ideals import (
+    DEFAULT_SEED,
+    SAMPLE_PAIRS,
     annihilator_dimension_formula,
     block_ideal,
+    block_pairs,
     check_absorption,
     check_annihilator_ideal,
     check_block_decomposition,
@@ -130,6 +134,23 @@ def test_block_decomposition_report():
     # every ordered pair of basis elements from distinct blocks: 34^2 - sum d^4
     assert rep["assertions"][-1]["witness"] == {"pairs_checked": 894, "exhaustive": True}
     assert rep["params"]["exhaustive"] is True
+
+
+def test_block_pairs_decode_the_sample_of_the_listed_pairs():
+    n = 4
+    sizes = [(shape, block_ideal(shape, n).dimension) for shape in all_shapes(n)]
+    listed = [
+        (s1, i, s2, j)
+        for s1, k1 in sizes
+        for s2, k2 in sizes
+        if s1 != s2
+        for i in range(k1)
+        for j in range(k2)
+    ]
+    assert len(listed) == 36_044
+    assert block_pairs(sizes, None) == listed
+    for seed in (0, 1, 5, 41, DEFAULT_SEED):
+        assert block_pairs(sizes, seed) == random.Random(seed).sample(listed, SAMPLE_PAIRS)
 
 
 def test_specht_orthogonality_report():
