@@ -1,9 +1,10 @@
 """Time the level-by-level annihilator check from the command line.
 
 Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
-(n = 6 for m = 1..5, then (1, 5) and (2, 5)), one at a time, and records its
-wall time, exit code, pass flag and the per-level dimensions of ann_k and
-I_k from the report.  A second interpreter times the Specht count
+(n = 6 for m = 1..5, then (1, 5) and (2, 5), then (6, 7) with ``--max-cells``
+raised past the default cap), one at a time, and records its wall time, exit
+code, pass flag and the per-level dimensions of ann_k and I_k from the
+report.  A second interpreter times the Specht count
 (``annihilator_dimension_formula``) alone, the part of the check that does
 not run level by level.  Also times the refusals at (2, 7) and (1, 8),
 ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
@@ -26,7 +27,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = [(m, 6) for m in range(1, 6)] + [(1, 5), (2, 5)]
+RAISED_CAP = 100_000_000
+CASES = [(m, 6, None) for m in range(1, 6)] + [(1, 5, None), (2, 5, None), (6, 7, RAISED_CAP)]
 REFUSED = [(2, 7), (1, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
 PRODUCTS = [  # (argv, expected exit code)
@@ -41,11 +43,14 @@ PRODUCTS = [  # (argv, expected exit code)
 FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
 
 
-def run(m: int, n: int, *, formula_only: bool = False) -> tuple[float, subprocess.CompletedProcess]:
+def run(
+    m: int, n: int, max_cells: int | None = None, *, formula_only: bool = False
+) -> tuple[float, subprocess.CompletedProcess]:
     """One fresh interpreter: the whole check, or only its Specht count."""
     if formula_only:
         return run_argv(["-c", FORMULA.format(m=m, n=n)])
-    return run_argv(["-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n)])
+    cap = ["--max-cells", str(max_cells)] if max_cells else []
+    return run_argv(["-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n), *cap])
 
 
 def run_argv(args: list[str]) -> tuple[float, subprocess.CompletedProcess]:
@@ -58,13 +63,14 @@ def run_argv(args: list[str]) -> tuple[float, subprocess.CompletedProcess]:
 
 def main(out: str) -> int:
     cases = []
-    for m, n in CASES:
-        wall, proc = run(m, n)
+    for m, n, max_cells in CASES:
+        wall, proc = run(m, n, max_cells)
         rep = json.loads(proc.stdout)
         fills = next(a for a in rep["assertions"] if a["name"] == "ideal fills the annihilator")
         cases.append({
             "m": m,
             "n": n,
+            "max_cells": max_cells,
             "wall_s": round(wall, 2),
             "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
             "exit_code": proc.returncode,

@@ -109,9 +109,9 @@ def level_work(m: int, n: int) -> int:
     """Entries the level-by-level annihilator check stores at (m, n).
 
     The basis-change certificate holds 2^k Moebius terms for each of the
-    C(n,k)^2 k! diagrams of rank k.  Level k has k! columns: the
-    annihilator matrix has one entry per input word and permutation, and
-    the ideal's echelon rows at most k! * k! cells.
+    C(n,k)^2 k! diagrams of rank k.  Level k has k! columns: the word
+    table has one entry per input word and permutation, and the ideal's
+    echelon rows at most k! * k! cells.
     """
     return sum(
         comb(n, k) ** 2 * factorial(k) * 2**k

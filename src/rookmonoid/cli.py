@@ -8,8 +8,10 @@ usage errors, and 3 when a size cap refuses the computation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -47,15 +49,18 @@ def _parse_shape(text: str, parser: argparse.ArgumentParser) -> specht.Shape:
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = payload
-    else:
-        text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write CSV text as given, or stream the JSON text in blocks of encoder
+    chunks: the whole text is never held at once, and an unbuffered stdout
+    (``PYTHONUNBUFFERED``) still takes few writes."""
+    out = getattr(args, "out", None)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", "json") == "csv":
+            fh.write(payload)
+            return
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(jsonable(payload))
+        while block := "".join(itertools.islice(chunks, 1 << 16)):
+            fh.write(block)
+        fh.write("\n")
 
 
 def _report_exit(rep: dict, args) -> int:
@@ -279,7 +284,9 @@ def cmd_verify_all(args, parser) -> int:
     assertions = []
     for name, check, kwargs in tasks:
         sub = check(**kwargs)
-        failed = [a["name"] for a in sub["assertions"] if not a["pass"]]
+        failed = [
+            {"name": a["name"], "witness": a["witness"]} for a in sub["assertions"] if not a["pass"]
+        ]
         assertions.append(assertion(name, sub["pass"], failed or None))
     params = {"n": args.n, "m": args.m, "max_cells": args.max_cells}
     return _report_exit(report("verify-all", params, assertions), args)

@@ -15,8 +15,10 @@ y = sum c_d d has coordinates  y^(t) = sum over d >= t of c_d.  (B. Steinberg,
 Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
-out the marked vector; its kernel is computed on one input word per
-relabelling orbit of letters.
+out the marked vector.  Whether an element acts as zero there is decided on
+one input word per relabelling orbit of letters.  The kernel is computed on
+the words of one balanced content only: it contains the annihilator, and a
+matching dimension closes the sandwich in ``check_annihilator_ideal``.
 
 Two-sided ideals and products of elements are read off the same levels: an
 element's ideal is built from S_k ideals (``ideal_of_blocks``), and its
@@ -26,6 +28,7 @@ products from the blocks' matrix products (``level_product``).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -173,9 +176,21 @@ def _word_rows(m: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def level_annihilator(m: int, k: int) -> tuple[dict[int, int], ...]:
-    """A basis of ann_k, the kernel of F S_k acting on V^(x)k with
-    dim V = m.  Cached; treat as read-only."""
-    table = _word_rows(m, k)
+    """A basis of K_mu, the kernel of F S_k on the words in {1..m}^k of
+    content mu, the balanced partition of k into min(m, k) parts.
+
+    Those words lie in V^(x)k with dim V = m, so K_mu contains ann_k; for
+    m = 0 and k >= 1 there are none, and K_mu is all of F S_k.  Relabelling
+    letters keeps the content and commutes with S_k, so the growth words of
+    content mu decide K_mu.  Cached; treat as read-only.
+    """
+    p = min(m, k)
+    mu = [len(range(i, k, p)) for i in range(p)]
+    table = [
+        row
+        for u, row in zip(growth_words(m, k), _word_rows(m, k))
+        if sorted(Counter(u).values(), reverse=True) == mu
+    ]
     entries = {(r, j): 1 for row in table for j, r in enumerate(row)}
     height = 1 + max((r for row in table for r in row), default=-1)
     return tuple(nullspace(SparseMatrix(height, factorial(k), entries)))

@@ -20,9 +20,11 @@ from rookmonoid.caps import (
     quasi_idempotent_pairs,
 )
 from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
+from rookmonoid import verify
 from rookmonoid.cli import main
 from rookmonoid.diagrams import monoid_order
 from rookmonoid.ideals import block_ideal
+from rookmonoid.reporting import assertion, report
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 
 
@@ -383,6 +385,38 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["sign"] == 1
+
+
+def test_out_flag_writes_the_bytes_stdout_gets(tmp_path, capsys):
+    # 13,327 terms: the JSON text is streamed in several blocks
+    argv = ["symmetrizer", "--n", "6"]
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "symmetrizer.json"
+    assert main([*argv, "--out", str(target)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_all_carries_the_witnesses_of_failing_assertions(monkeypatch, capsys):
+    def counting(n):
+        return report(
+            "counting",
+            {"n": n},
+            [assertion("holds", True, {"n": n}), assertion("breaks", n != 2, {"seen": [n, 0]})],
+        )
+
+    monkeypatch.setattr(verify, "check_counting", counting)
+    code, data = run_json(capsys, "verify-all", "--n", "2", "--m", "1")
+    assert code == 1 and data["pass"] is False
+    rows = {a["name"]: a for a in data["assertions"]}
+    assert rows["counting(n=1)"] == {"name": "counting(n=1)", "pass": True, "witness": None}
+    assert rows["counting(n=2)"] == {
+        "name": "counting(n=2)",
+        "pass": False,
+        "witness": [{"name": "breaks", "witness": {"seen": [2, 0]}}],
+    }
+    assert [name for name, a in rows.items() if not a["pass"]] == ["counting(n=2)"]
 
 
 def test_output_is_deterministic(capsys):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,9 +93,10 @@ def test_mobius_element_acts_on_its_range_support_only(m, n):
 
 
 def test_growth_words_decide_the_level_annihilator():
-    # one input word per relabelling orbit gives the kernel of all of them
-    for m in (1, 2, 3):
-        for k in range(5):
+    # the kernel on the growth words of balanced content is the kernel on
+    # every word of {1..m}^k
+    for m in range(5):
+        for k in range(6):
             perms = sorted(itertools.permutations(range(1, k + 1)))
             entries, rows = {}, {}
             for u in itertools.product(range(1, m + 1), repeat=k):
@@ -109,6 +111,23 @@ def test_growth_words_decide_the_level_annihilator():
                 fast.insert(vec)
             assert fast == full, (m, k)
     assert len(growth_words(3, 5)) == 1 + 15 + 25  # S(5,1) + S(5,2) + S(5,3)
+
+
+@pytest.mark.parametrize(
+    "m, k, words",
+    # content (2, 2, 1): 15 of the 41 growth words; (2, 2): 3 of 8; 1^4: one of 15
+    [(3, 5, 15), (2, 4, 3), (4, 4, 1), (7, 4, 1), (1, 3, 1), (0, 3, 0), (0, 0, 1)],
+)
+def test_level_annihilator_reads_the_balanced_words_only(m, k, words, monkeypatch):
+    seen = []
+    monkeypatch.setattr(groupoid, "nullspace", lambda matrix: seen.append(matrix) or [])
+    level_annihilator.cache_clear()
+    try:
+        level_annihilator(m, k)
+    finally:
+        level_annihilator.cache_clear()
+    (matrix,) = seen
+    assert len(matrix.entries) == words * factorial(k)
 
 
 def test_level_guard_counts_the_growth_words():
@@ -161,7 +180,8 @@ def test_a_dropped_block_entry_fails_to_fill_the_annihilator(monkeypatch):
 
 def test_a_wrong_block_entry_of_the_right_dimension_fails_containment(monkeypatch):
     # at (1, 2) the one top entry is 1 - s_1, whose ideal is ann_2; 1 + s_1
-    # spans an ideal of the same dimension that misses it
+    # spans an ideal of the same dimension that does not lie in ann_2, so the
+    # sandwich's lower inclusion fails while the dimensions still agree
     original = groupoid.level_blocks
 
     def symmetrized(y):
@@ -175,10 +195,24 @@ def test_a_wrong_block_entry_of_the_right_dimension_fails_containment(monkeypatc
     rep = check_annihilator_ideal(1, 2)
     assert _failed(rep) == {
         "generator acts as zero on the tensor power",
-        "annihilator lies inside the ideal",
         "annihilator equals the ideal as subspaces",
     }
-    assert _assertion(rep, "annihilator lies inside the ideal")["witness"] == {"levels": [2]}
+    assert _assertion(rep, "ideal fills the annihilator")["pass"]
+
+
+def test_a_kernel_larger_than_the_annihilator_fails_to_be_filled(monkeypatch):
+    # the kernel on the one word of content (k) holds ann_k and more when m > 1
+    original = groupoid.level_annihilator
+    monkeypatch.setattr(ideals, "level_annihilator", lambda m, k: original(1, k))
+    rep = check_annihilator_ideal(2, 3)
+    assert _failed(rep) == {
+        "annihilator dimension matches the Specht count",
+        "ideal fills the annihilator",
+        "annihilator equals the ideal as subspaces",
+    }
+    fills = _assertion(rep, "ideal fills the annihilator")["witness"]
+    assert fills["ideal_by_level"] == [0, 0, 0, 1]
+    assert fills["annihilator_by_level"] == [0, 0, 1, 5]
 
 
 def test_level_blocks_of_the_generator_start_at_level_m_plus_one():
