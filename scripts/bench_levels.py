@@ -10,7 +10,9 @@ not run level by level.  Also times the refusals at (2, 7) and (1, 8),
 ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
 the quasi-idempotent products and block ideals: ``verify-blocks`` at n = 4
 and 5 and its refusal at n = 6, ``e-element --n 6 --lambda 6`` and the
-refusal of ``--n 8 --lambda 8``.
+refusal of ``--n 8 --lambda 8``.  Last, the groupoid basis-change
+certificate alone (``basis_change_failures``) at n = 5, 6 and 7, with its
+own time and the interpreter's peak resident memory.
 Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json
@@ -38,9 +40,24 @@ PRODUCTS = [  # (argv, expected exit code)
     (["e-element", "--n", "6", "--lambda", "6"], 0),
     (["e-element", "--n", "8", "--lambda", "8"], 3),
 ]
+CERTIFICATE_N = [5, 6, 7]
 
 
 FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
+CERTIFICATE = """\
+import json, resource, time
+from rookmonoid.diagrams import monoid_order
+from rookmonoid.groupoid import basis_change_failures
+started = time.perf_counter()
+failing, unit, products, reached = basis_change_failures({n})
+print(json.dumps({{
+    "certificate_s": round(time.perf_counter() - started, 2),
+    "certified": not failing and unit and reached == monoid_order({n}),
+    "products": products,
+    "reached": reached,
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}}))
+"""
 
 
 def run(
@@ -108,6 +125,16 @@ def main(out: str) -> int:
             entry["stderr"] = proc.stderr.strip()
         products.append(entry)
         print(json.dumps(entry), file=sys.stderr)
+    certificate = []
+    for n in CERTIFICATE_N:
+        wall, proc = run_argv(["-c", CERTIFICATE.format(n=n)])
+        entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+        if proc.returncode == 0:
+            entry.update(json.loads(proc.stdout))
+        else:
+            entry["stderr"] = proc.stderr.strip()
+        certificate.append(entry)
+        print(json.dumps(entry), file=sys.stderr)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
         "machine": {
@@ -119,6 +146,7 @@ def main(out: str) -> int:
         "refused": refused,
         "specht_dims": specht_dims,
         "products": products,
+        "certificate": certificate,
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
     ok = (
@@ -126,6 +154,7 @@ def main(out: str) -> int:
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
         and all(p["exit_code"] == p["expected_exit_code"] for p in products)
+        and all(c.get("certified") for c in certificate)
     )
     return 0 if ok else 1
 

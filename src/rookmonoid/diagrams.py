@@ -95,6 +95,21 @@ def generators(n: int) -> tuple[Diagram, ...]:
     return tuple(swaps + [generator(n, "p", i) for i in range(1, n + 1)])
 
 
+def three_generators(n: int) -> tuple[Diagram, ...]:
+    """s_1, the n-cycle (2, 3, ..., n, 1) and p_1, which generate R_n:
+    s_1 and the n-cycle generate S_n, and p_1 conjugated by S_n gives every
+    p_i.  Duplicates are dropped: at n = 2 the cycle is s_1, and at n = 1
+    only p_1 is left.
+
+    >>> three_generators(3)
+    ((2, 1, 3), (2, 3, 1), (0, 2, 3))
+    >>> three_generators(2)
+    ((2, 1), (0, 2))
+    """
+    swaps = (generator(n, "s", 1), (*range(2, n + 1), 1)) if n > 1 else ()
+    return (*dict.fromkeys(swaps), generator(n, "p", 1))
+
+
 def gather(d1: Sequence[int]) -> Callable[[tuple[int, ...]], Diagram]:
     """The left factor d1 as a function of the padded right factor:
     ``gather(d1)(padded(d2)) == multiply(d1, d2)``.  Build it once per left

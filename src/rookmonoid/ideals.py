@@ -157,16 +157,19 @@ def check_one_dimensional_ideals(n: int) -> dict:
 def _certificate_assertion(n: int) -> dict:
     """That ``basis_change_failures`` certifies the groupoid basis at n, on
     which every level-by-level check rests."""
-    bad_products, unit_holds = basis_change_failures(n)
-    certified = not bad_products and unit_holds
+    bad_products, unit_holds, products, reached = basis_change_failures(n)
+    order = monoid_order(n)
+    certified = not bad_products and unit_holds and reached == order
     return assertion(
         "groupoid basis change is certified at n",
         certified,
-        {"products": monoid_order(n) * (2 * n - 1)}
+        {"products": products, "reached": reached}
         if certified
         else {
             "failing": [[list(d), list(g)] for d, g in bad_products[:5]],
             "unit": unit_holds,
+            "reached": reached,
+            "order": order,
         },
     )
 

@@ -18,13 +18,13 @@ from .diagrams import (
     compose_quadruple,
     coset_reps,
     factorize,
-    generators,
     identity,
     is_permutation,
     monoid_order,
     multiply,
     rank_class,
     rank_class_size,
+    three_generators,
 )
 from .linalg import SparseMatrix, matmul
 from .reporting import assertion, report
@@ -115,16 +115,16 @@ def check_tensor_homomorphism(
     certificate.
 
     A breadth-first search from the identity under right multiplication by
-    the 2n-1 generators checks phi(d g) = phi(d) phi(g) for every reached d
-    and every generator g, checks phi(1) = I, and checks that it reaches all
-    |R_n| diagrams.  Then every e is a word in the generators and the
-    generator identity holds for every d, so induction on the length of e
-    gives phi(d e) = phi(d) phi(e) for all d: phi(d 1) = phi(d) I, and if
-    e = e' g with the claim known for e', then
-    phi(d e' g) = phi(d e') phi(g) = phi(d) phi(e') phi(g) = phi(d) phi(e).
-    That is |R_n| (2n-1) products instead of |R_n|^2.
+    s_1, the n-cycle and p_1 (``three_generators``) checks
+    phi(d g) = phi(d) phi(g) for every reached d and each of them, checks
+    phi(1) = I, and checks that it reaches all |R_n| diagrams.  Then every
+    e is a word in the generators and the generator identity holds for
+    every d, so induction on the length of e gives phi(d e) = phi(d) phi(e)
+    for all d: phi(d 1) = phi(d) I, and if e = e' g with the claim known
+    for e', then phi(d e' g) = phi(d e') phi(g) = phi(d) phi(e') phi(g)
+    = phi(d) phi(e).  That is |R_n| * 3 products instead of |R_n|^2.
     """
-    gens = generators(n)
+    gens = three_generators(n)
     one = identity(n)
     phi = {d: diagram_matrix(d, m, max_cells=max_cells) for d in all_diagrams(n)}
     bad = []

@@ -14,7 +14,14 @@ from rookmonoid.algebra import (
     top_antisymmetrizer,
 )
 from rookmonoid.caps import growth_word_count
-from rookmonoid.diagrams import all_diagrams, diagram_index, identity, multiply
+from rookmonoid.diagrams import (
+    all_diagrams,
+    diagram_index,
+    identity,
+    monoid_order,
+    multiply,
+    three_generators,
+)
 from rookmonoid.groupoid import (
     basis_change_failures,
     growth_words,
@@ -158,6 +165,55 @@ def test_a_flipped_moebius_sign_fails_the_certificate(monkeypatch, fresh_certifi
     assert failing and all(
         target in (tuple(d), multiply(tuple(d), tuple(g))) for d, g in failing
     )
+
+
+def test_three_generators_reach_every_diagram():
+    assert three_generators(1) == ((0,),)
+    assert three_generators(2) == ((2, 1), (0, 2))
+    for n in range(1, 7):
+        gens = three_generators(n)
+        assert len(set(gens)) == len(gens) == min(n, 3), n
+        order = monoid_order(n)
+        assert basis_change_failures(n) == ((), True, order * len(gens), order), n
+
+
+def test_permutations_alone_fail_the_certificate_by_reach(monkeypatch, fresh_certificate):
+    # s_1 and the cycle obey every product rule but reach only S_n, so the
+    # certificate must not take generation for granted
+    monkeypatch.setattr(groupoid, "three_generators", lambda n: three_generators(n)[:-1])
+    rep = check_annihilator_ideal(1, 3)
+    assert _failed(rep) == {
+        "groupoid basis change is certified at n",
+        "annihilator equals the ideal as subspaces",
+    }
+    witness = _assertion(rep, "groupoid basis change is certified at n")["witness"]
+    assert witness == {"failing": [], "unit": True, "reached": 6, "order": monoid_order(3)}
+
+
+@pytest.mark.parametrize(
+    "target, cut",
+    # s_1 and p_1 both fix (0, 4, 3, 0), so only the cycle meets its floor
+    [((0, 4, 3, 0), (0, 4, 0, 0)), ((3, 0, 0, 1), (0, 0, 0, 1))],
+)
+def test_a_flipped_sign_on_rank_two_fails_the_certificate(
+    target, cut, monkeypatch, fresh_certificate
+):
+    original = groupoid.mobius_vector
+
+    def flipped(d, index):
+        vec = original(d, index)
+        if d == target:
+            vec[index[cut]] = -vec[index[cut]]
+        return vec
+
+    monkeypatch.setattr(groupoid, "mobius_vector", flipped)
+    rep = check_annihilator_ideal(1, 4)
+    assert "groupoid basis change is certified at n" in _failed(rep)
+    witness = _assertion(rep, "groupoid basis change is certified at n")["witness"]
+    assert witness["failing"] and witness["unit"]
+    assert witness["reached"] == witness["order"] == monoid_order(4)
+    assert all(target in (tuple(d), multiply(tuple(d), tuple(g))) for d, g in witness["failing"])
+    assert [target, (2, 3, 4, 1)] in [[tuple(d), tuple(g)] for d, g in witness["failing"]]
 
 
 def test_a_dropped_block_entry_fails_to_fill_the_annihilator(monkeypatch):

@@ -1,7 +1,7 @@
 import json
 
 from rookmonoid import verify
-from rookmonoid.diagrams import all_diagrams, monoid_order, verify_presentation
+from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators, verify_presentation
 from rookmonoid.linalg import SparseMatrix
 from rookmonoid.reporting import jsonable
 from rookmonoid.verify import (
@@ -62,7 +62,7 @@ def test_tensor_homomorphism_exhaustive():
         assert rep["pass"], rep
         _well_formed(rep)
         witness = rep["assertions"][-1]["witness"]
-        assert witness == {"products": monoid_order(n) * (2 * n - 1)}
+        assert witness == {"products": monoid_order(n) * len(three_generators(n))}
 
 
 def test_tensor_homomorphism_catches_a_corrupted_diagram(monkeypatch):
