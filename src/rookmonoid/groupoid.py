@@ -12,7 +12,9 @@ dom d and ran d onto 1..k, composed like ``diagrams.multiply``.  Moebius
 inversion gives d = sum over t <= d of floor(t), so an element
 y = sum c_d d has coordinates  y^(t) = sum over d >= t of c_d.  (B. Steinberg,
 "Moebius functions and semigroup representation theory", J. Combin. Theory
-Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)
+Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)  ``sweep`` is the one
+change between the two coordinates: the zeta transform one way, the Moebius
+transform back.
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
 out the marked vector.  Whether an element acts as zero there is decided on
@@ -31,7 +33,7 @@ import itertools
 from collections import Counter, deque
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import AlgebraElement
 from .diagrams import (
@@ -51,20 +53,23 @@ from .linalg import SpanBasis, SparseMatrix, apply_map, nullspace, saturate
 Block = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
 
 
-def restrictions(d: Sequence[int]) -> Iterator[tuple[Diagram, int]]:
-    """Every t <= d, with the number of edges removed from d."""
-    live = [a for a, b in enumerate(d) if b]
-    for r in range(len(live) + 1):
-        for cut in itertools.combinations(live, r):
-            img = list(d)
-            for a in cut:
-                img[a] = 0
-            yield tuple(img), r
-
-
-def mobius_vector(d: Sequence[int], index: Mapping[Diagram, int]) -> dict[int, int]:
-    """floor(d) in diagram coordinates."""
-    return {index[t]: -1 if r % 2 else 1 for t, r in restrictions(d)}
+def sweep(vec: Mapping[Diagram, int], sign: int) -> dict[Diagram, int]:
+    """The zeta (sign 1) or Moebius (sign -1) transform of a vector keyed by
+    diagrams: entry t of the zeta transform is the sum of vec[d] over d >= t,
+    and the Moebius transform is its inverse.  t <= d compares slot by slot
+    (t[a] is 0 or d[a]), so pass a adds sign times each entry with slot a
+    live onto the diagram with slot a cleared; the passes commute.  Zero
+    entries are left out.
+    """
+    out = dict(vec)
+    for a in range(len(next(iter(vec), ()))):
+        for d, c in list(out.items()):
+            if d[a]:
+                t = d[:a] + (0,) + d[a + 1 :]
+                out[t] = out.get(t, 0) + sign * c
+    for t in [t for t, c in out.items() if not c]:
+        del out[t]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -87,13 +92,14 @@ def basis_change_failures(
     Expanding floor(e) = sum over t <= e of +-t, the surviving t have
     ran d <= dom t <= dom e and d t = d e, and their signs cancel unless
     ran d = dom e: that is the product rule.  The unit check makes the
-    isomorphism unital.
+    isomorphism unital.  Each floor(d), and the sum of the floor(id_A), is a
+    Moebius ``sweep``.
     """
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)
     right = multiplication_maps(diags, (), gens)
-    floor = [mobius_vector(d, index) for d in diags]
+    floor = [{index[t]: c for t, c in sweep({d: 1}, -1).items()} for d in diags]
     bad = []
     for i, d in enumerate(diags):
         ran = set(d) - {0}
@@ -111,11 +117,8 @@ def basis_change_failures(
             if tau[i] not in reached:
                 reached.add(tau[i])
                 queue.append(tau[i])
-    unit: dict[int, int] = {}
-    for t, _ in restrictions(one):
-        for j, c in floor[index[t]].items():
-            unit[j] = unit.get(j, 0) + c
-    unit_holds = {j: c for j, c in unit.items() if c} == {index[one]: 1}
+    partial_identities = itertools.product(*((0, a) for a in one))
+    unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
     return tuple(bad), unit_holds, len(diags) * len(gens), len(reached)
 
 
@@ -136,16 +139,12 @@ def level_blocks(y: AlgebraElement) -> list[Block]:
 
     Block k maps (dom, ran) to the entry sum of y^(t) sigma_t over the t of
     rank k with that domain and range, in the coordinates of
-    ``all_permutations(k)``; zero entries are left out.
+    ``all_permutations(k)``; zero entries are left out.  The y^(t) are the
+    zeta ``sweep`` of y's terms.
     """
-    hat: dict[Diagram, int] = {}
-    for d, c in y.terms.items():
-        for t, _ in restrictions(d):
-            hat[t] = hat.get(t, 0) + c
+    hat = sweep(y.terms, 1)
     blocks: list[Block] = [{} for _ in range(y.n + 1)]
     for t, c in hat.items():
-        if not c:
-            continue
         dom = tuple(a for a, b in enumerate(t, start=1) if b)
         ran = tuple(sorted(b for b in t if b))
         sigma = relabel(t)
@@ -249,9 +248,10 @@ def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
     level-k block: the unit of each factor picks out its level, and
     E(a, dom) x E(ran, b) moves the (dom, ran) entry anywhere.  So the
     ideal is spanned by floor of E(dom, ran) (x) x, that is
-    sum over sigma of x_sigma floor(t), t = ``_level_diagram(dom, ran, sigma)``,
-    over every pair of k-subsets dom, ran and every echelon row x of J_k.
-    These are independent, so each insert adds one dimension.
+    sum over sigma of x_sigma floor(t), t = ``_level_diagram(dom, ran, sigma)``
+    (the Moebius ``sweep`` of those x_sigma), over every pair of k-subsets
+    dom, ran and every echelon row x of J_k.  These are independent, so each
+    insert adds one dimension.
     """
     index = diagram_index(n)
     basis = SpanBasis(monoid_order(n))
@@ -263,13 +263,9 @@ def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for dom in subsets:
             for ran in subsets:
-                floors = [mobius_vector(_level_diagram(n, dom, ran, s), index) for s in perms]
                 for x in rows:
-                    vec: dict[int, int] = {}
-                    for j, c in x.items():
-                        for i, v in floors[j].items():
-                            vec[i] = vec.get(i, 0) + c * v
-                    basis.insert(vec)
+                    hat = {_level_diagram(n, dom, ran, perms[j]): c for j, c in x.items()}
+                    basis.insert({index[t]: c for t, c in sweep(hat, -1).items()})
     return basis
 
 

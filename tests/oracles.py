@@ -7,6 +7,7 @@ routines under test.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from rookmonoid.algebra import AlgebraElement, element_coordinates, top_antisymmetrizer
 from rookmonoid.diagrams import (
@@ -59,6 +60,18 @@ def compose_by_paths(d1: tuple[int, ...], d2: tuple[int, ...]) -> tuple[int, ...
     if len(d1) != len(d2):
         raise ValueError(f"size mismatch: {len(d1)} vs {len(d2)}")
     return tuple(d2[b - 1] if b else 0 for b in d1)
+
+
+def restrictions(d: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every t <= d, that is d with some edges removed, with the number of
+    edges removed.  The reference for ``groupoid.sweep``."""
+    live = [a for a, b in enumerate(d) if b]
+    for r in range(len(live) + 1):
+        for cut in itertools.combinations(live, r):
+            img = list(d)
+            for a in cut:
+                img[a] = 0
+            yield tuple(img), r
 
 
 def product_by_terms(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,6 @@ from rookmonoid.algebra import (
 from rookmonoid.caps import growth_word_count
 from rookmonoid.diagrams import (
     all_diagrams,
-    diagram_index,
     identity,
     monoid_order,
     multiply,
@@ -28,15 +28,15 @@ from rookmonoid.groupoid import (
     level_annihilator,
     level_blocks,
     level_product,
-    mobius_vector,
     relabel,
+    sweep,
 )
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal, two_sided_ideal
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
 from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
 
-from oracles import annihilator_by_phi_kernel, two_sided_ideal_by_saturation
+from oracles import annihilator_by_phi_kernel, restrictions, two_sided_ideal_by_saturation
 
 
 def _assertion(rep, name):
@@ -78,10 +78,9 @@ def test_relabelling_composes_like_diagrams():
 def test_mobius_element_acts_on_its_range_support_only(m, n):
     # phi(floor(d)) v_w = [supp w = ran d] phi(d) v_w, and on that support the
     # digits move as sigma_d moves the letters of a word
-    index = diagram_index(n)
     dim = tensor_dim(m, n)
     for d in all_diagrams(n):
-        floor = element_from_coordinates(n, mobius_vector(d, index))
+        floor = AlgebraElement(n, sweep({d: 1}, -1))
         ran = {b for b in d if b}
         dom = [a for a, b in enumerate(d, start=1) if b]
         sigma = relabel(d)
@@ -120,6 +119,27 @@ def test_growth_words_decide_the_level_annihilator():
     assert len(growth_words(3, 5)) == 1 + 15 + 25  # S(5,1) + S(5,2) + S(5,3)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sweep_matches_its_definition(n):
+    # small entries on a random support, so that sums cancel in both directions
+    rng = random.Random(n)
+    diags = all_diagrams(n)
+    for _ in range(30):
+        vec = {d: rng.randint(-2, 2) for d in rng.sample(diags, rng.randint(0, len(diags)))}
+        zeta = {}
+        for t in diags:
+            total = sum(c for d, c in vec.items() if all(x in (0, y) for x, y in zip(t, d)))
+            if total:
+                zeta[t] = total
+        floors = {}
+        for d, c in vec.items():
+            for t, r in restrictions(d):
+                floors[t] = floors.get(t, 0) + (-1) ** r * c
+        assert sweep(vec, 1) == zeta
+        assert sweep(vec, -1) == {t: c for t, c in floors.items() if c}
+        assert sweep(sweep(vec, 1), -1) == {d: c for d, c in vec.items() if c}
+
+
 @pytest.mark.parametrize(
     "m, k, words",
     # content (2, 2, 1): 15 of the 41 growth words; (2, 2): 3 of 8; 1^4: one of 15
@@ -143,18 +163,23 @@ def test_level_guard_counts_the_growth_words():
             assert growth_word_count(m, k) == len(growth_words(m, k)), (m, k)
 
 
+def _flip_floor_entry(monkeypatch, target, cut):
+    """Negate the entry of floor(target) at cut, in every Moebius sweep that
+    builds floor(target)."""
+    original = groupoid.sweep
+
+    def flipped(vec, sign):
+        out = original(vec, sign)
+        if sign < 0 and target in vec:
+            out[cut] = out.get(cut, 0) - 2 * vec[target] * original({target: 1}, -1)[cut]
+        return out
+
+    monkeypatch.setattr(groupoid, "sweep", flipped)
+
+
 def test_a_flipped_moebius_sign_fails_the_certificate(monkeypatch, fresh_certificate):
     target = (2, 3, 1)
-    original = groupoid.mobius_vector
-
-    def flipped(d, index):
-        vec = original(d, index)
-        if d == target:
-            j = index[(2, 3, 0)]
-            vec[j] = -vec[j]
-        return vec
-
-    monkeypatch.setattr(groupoid, "mobius_vector", flipped)
+    _flip_floor_entry(monkeypatch, target, (2, 3, 0))
     rep = check_annihilator_ideal(1, 3)
     assert _failed(rep) == {
         "groupoid basis change is certified at n",
@@ -198,15 +223,7 @@ def test_permutations_alone_fail_the_certificate_by_reach(monkeypatch, fresh_cer
 def test_a_flipped_sign_on_rank_two_fails_the_certificate(
     target, cut, monkeypatch, fresh_certificate
 ):
-    original = groupoid.mobius_vector
-
-    def flipped(d, index):
-        vec = original(d, index)
-        if d == target:
-            vec[index[cut]] = -vec[index[cut]]
-        return vec
-
-    monkeypatch.setattr(groupoid, "mobius_vector", flipped)
+    _flip_floor_entry(monkeypatch, target, cut)
     rep = check_annihilator_ideal(1, 4)
     assert "groupoid basis change is certified at n" in _failed(rep)
     witness = _assertion(rep, "groupoid basis change is certified at n")["witness"]
