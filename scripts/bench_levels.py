@@ -1,10 +1,13 @@
 """Time the level-by-level annihilator check from the command line.
 
 Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
-(n = 6 for m = 1..5, then (1, 5) and (2, 5), then (6, 7) with ``--max-cells``
-raised past the default cap), one at a time, and records its wall time, exit
-code, pass flag and the per-level dimensions of ann_k and I_k from the
-report.  A second interpreter times the Specht count
+(n = 6 for m = 1..5, then (1, 5) and (2, 5), then (6, 7) and (3, 7) with
+``--max-cells`` raised past the default cap), one at a time, and records its
+wall time, peak resident memory, exit code, pass flag and the per-level
+dimensions of ann_k and I_k from the report.  Given a second checkout of the
+repository (say, the parent commit), each case also runs there right after,
+on the same machine, and its wall time, memory, exit code and pass flag are
+recorded beside, with that checkout's commit.  A second interpreter times the Specht count
 (``annihilator_dimension_formula``) alone, the part of the check that does
 not run level by level.  Also times the refusals at (2, 7) and (1, 8),
 ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
@@ -15,7 +18,7 @@ certificate alone (``basis_change_failures``) at n = 5, 6 and 7, with its
 own time and the interpreter's peak resident memory.
 Writes the result as JSON:
 
-    python3 scripts/bench_levels.py BENCH_levels.json
+    python3 scripts/bench_levels.py BENCH_levels.json [PARENT_CHECKOUT]
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RAISED_CAP = 100_000_000
-CASES = [(m, 6, None) for m in range(1, 6)] + [(1, 5, None), (2, 5, None), (6, 7, RAISED_CAP)]
+CASES = [(m, 6, None) for m in range(1, 6)] + [(1, 5, None), (2, 5, None)]
+CASES += [(6, 7, RAISED_CAP), (3, 7, RAISED_CAP)]
 REFUSED = [(2, 7), (1, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
 PRODUCTS = [  # (argv, expected exit code)
@@ -61,24 +67,49 @@ print(json.dumps({{
 
 
 def run(
-    m: int, n: int, max_cells: int | None = None, *, formula_only: bool = False
+    m: int, n: int, max_cells: int | None = None, *, formula_only: bool = False, root: Path = ROOT
 ) -> tuple[float, subprocess.CompletedProcess]:
     """One fresh interpreter: the whole check, or only its Specht count."""
     if formula_only:
-        return run_argv(["-c", FORMULA.format(m=m, n=n)])
+        return run_argv(["-c", FORMULA.format(m=m, n=n)], root)
     cap = ["--max-cells", str(max_cells)] if max_cells else []
-    return run_argv(["-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n), *cap])
+    argv = ["-m", "rookmonoid", "verify-schur-weyl", "--m", str(m), "--n", str(n), *cap]
+    return run_argv(argv, root)
 
 
-def run_argv(args: list[str]) -> tuple[float, subprocess.CompletedProcess]:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+def run_argv(args: list[str], root: Path = ROOT) -> tuple[float, subprocess.CompletedProcess]:
+    """Run the interpreter on ``args`` with ``root``'s sources, killed after
+    600 s; the result's ``peak_rss_mb`` is the child's own peak memory."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
     argv = [sys.executable, *args]
-    started = time.perf_counter()
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
-    return time.perf_counter() - started, proc
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        child = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
+        timer = threading.Timer(600, child.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.perf_counter() - started
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(
+            argv, child.returncode, out.read().decode(), err.read().decode()
+        )
+    proc.peak_rss_mb = round(usage.ru_maxrss / 1024, 1)
+    return wall, proc
 
 
-def main(out: str) -> int:
+def outcome(wall: float, proc: subprocess.CompletedProcess) -> dict:
+    """Wall time, peak memory, exit code and pass flag of one check run."""
+    rep = json.loads(proc.stdout) if proc.returncode in (0, 1) else {}
+    return {"wall_s": round(wall, 2), "peak_rss_mb": proc.peak_rss_mb,
+            "exit_code": proc.returncode, "pass": rep.get("pass")}
+
+
+def main(out: str, parent: Path | None = None) -> int:
     cases = []
     for m, n, max_cells in CASES:
         wall, proc = run(m, n, max_cells)
@@ -88,14 +119,14 @@ def main(out: str) -> int:
             "m": m,
             "n": n,
             "max_cells": max_cells,
-            "wall_s": round(wall, 2),
+            **outcome(wall, proc),
             "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
-            "exit_code": proc.returncode,
-            "pass": rep["pass"],
             "annihilator": fills["witness"]["annihilator"],
             "dim_ann_k": fills["witness"]["annihilator_by_level"],
             "dim_I_k": fills["witness"]["ideal_by_level"],
         })
+        if parent:
+            cases[-1]["parent"] = outcome(*run(m, n, max_cells, root=parent))
         print(json.dumps(cases[-1]), file=sys.stderr)
     refused = []
     for m, n in REFUSED:
@@ -142,6 +173,9 @@ def main(out: str) -> int:
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
         },
+        "parent_commit": parent and subprocess.run(
+            ["git", "-C", str(parent), "rev-parse", "HEAD"], capture_output=True, text=True
+        ).stdout.strip(),
         "cases": cases,
         "refused": refused,
         "specht_dims": specht_dims,
@@ -150,7 +184,7 @@ def main(out: str) -> int:
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
     ok = (
-        all(c["exit_code"] == 0 for c in cases)
+        all(c["exit_code"] == 0 and c.get("parent", c)["exit_code"] == 0 for c in cases)
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
         and all(p["exit_code"] == p["expected_exit_code"] for p in products)
@@ -160,4 +194,7 @@ def main(out: str) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_levels.json"))
+    sys.exit(main(
+        sys.argv[1] if len(sys.argv) > 1 else "BENCH_levels.json",
+        Path(sys.argv[2]).resolve() if len(sys.argv) > 2 else None,
+    ))

@@ -95,27 +95,28 @@ def check_quasi_idempotent_cap(shape: Shape, n: int, max_cells: int) -> None:
     )
 
 
-def growth_word_count(m: int, k: int) -> int:
-    """Restricted growth strings of length k on at most m letters: the sum
-    of the Stirling numbers S(k, j) over j <= m."""
-    row = [1]  # S(i, j) for j = 0..i, from i = 0
-    for i in range(1, k + 1):
-        prev = row + [0]
-        row = [0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)]
-    return sum(row[: m + 1])
+def balanced_word_count(m: int, k: int) -> int:
+    """Growth words of length k whose letter counts form mu, the balanced
+    partition of k into min(m, k) parts: the set partitions of k with block
+    sizes mu, k! / (prod_i mu_i! prod_j mult_j(mu)!); none when m = 0 < k."""
+    if m == 0 < k:
+        return 0
+    p = min(m, k)
+    mu = [len(range(i, k, p)) for i in range(p)]
+    return factorial(k) // prod(map(factorial, mu + [mu.count(v) for v in set(mu)]))
 
 
 def level_work(m: int, n: int) -> int:
     """Entries the level-by-level annihilator check stores at (m, n).
 
     The basis-change certificate holds 2^k Moebius terms for each of the
-    C(n,k)^2 k! diagrams of rank k.  Level k has k! columns: the word
-    table has one entry per input word and permutation, and the ideal's
-    echelon rows at most k! * k! cells.
+    C(n,k)^2 k! diagrams of rank k.  Level k has k! columns: the kernel's
+    table has one entry per balanced growth word and permutation, and the
+    ideal's echelon rows at most k! * k! cells.
     """
     return sum(
         comb(n, k) ** 2 * factorial(k) * 2**k
-        + factorial(k) * (growth_word_count(m, k) + factorial(k))
+        + factorial(k) * (balanced_word_count(m, k) + factorial(k))
         for k in range(n + 1)
     )
 

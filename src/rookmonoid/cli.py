@@ -226,8 +226,6 @@ def cmd_verify_schur_weyl(args, parser) -> int:
 
 
 def cmd_verify_absorption(args, parser) -> int:
-    if not args.m < args.n:
-        parser.error("needs m < n")
     return _report_exit(ideals.check_absorption(args.m, args.n), args)
 
 

@@ -218,6 +218,17 @@ def multiplication_maps(
     return tuple(maps)
 
 
+def reach(maps: Sequence[Sequence[int]], start: int) -> set[int]:
+    """The indices reached from ``start`` under the index maps ``maps``."""
+    reached, todo = {start}, [start]
+    while todo:
+        i = todo.pop()
+        new = {tau[i] for tau in maps} - reached
+        reached |= new
+        todo += new
+    return reached
+
+
 def coset_reps(n: int, r: int) -> tuple[Perm, ...]:
     """Permutations increasing on 1..r and on r+1..n, sorted lexicographically.
 

@@ -17,9 +17,9 @@ change between the two coordinates: the zeta transform one way, the Moebius
 transform back.
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
-out the marked vector.  Whether an element acts as zero there is decided on
-one input word per relabelling orbit of letters.  The kernel is computed on
-the words of one balanced content only: it contains the annihilator, and a
+out the marked vector.  A two-sided ideal of F S_k kills it when it kills one
+sorted word per content (``unkilled_words``).  The kernel is computed on the
+growth words of one balanced content: it contains the annihilator, and a
 matching dimension closes the sandwich in ``check_annihilator_ideal``.
 
 Two-sided ideals and products of elements are read off the same levels: an
@@ -30,7 +30,7 @@ products from the blocks' matrix products (``level_product``).
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
@@ -46,9 +46,11 @@ from .diagrams import (
     identity,
     monoid_order,
     multiplication_maps,
+    reach,
     three_generators,
 )
 from .linalg import SpanBasis, SparseMatrix, apply_map, nullspace, saturate
+from .specht import partitions_of
 
 Block = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
 
@@ -82,9 +84,8 @@ def basis_change_failures(
     and p_1): the pairs (d, g) with floor(d) g != floor(d g) when ran d lies
     in dom g, or != 0 otherwise, over every diagram d; whether
     1 = sum over A of floor(id_A); the number of products checked,
-    |R_n| * 3; and how many diagrams a breadth-first search from the
-    identity reaches under right multiplication by those generators.  No
-    pairs, True and all |R_n| reached mean certified.
+    |R_n| * 3; and how many diagrams the identity ``reach``es under right
+    multiplication by them.  No pairs, True and all reached mean certified.
 
     Reaching every diagram makes every e a word in the generators, so
     induction on the length of e extends the generator rule to
@@ -109,14 +110,7 @@ def basis_change_failures(
             if apply_map(tau, floor[i]) != expect:
                 bad.append((d, g))
     one = identity(n)
-    reached = {index[one]}
-    queue = deque(reached)
-    while queue:
-        i = queue.popleft()
-        for tau in right:
-            if tau[i] not in reached:
-                reached.add(tau[i])
-                queue.append(tau[i])
+    reached = reach(right, index[one])
     partial_identities = itertools.product(*((0, a) for a in one))
     unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
     return tuple(bad), unit_holds, len(diags) * len(gens), len(reached)
@@ -167,24 +161,6 @@ def growth_words(m: int, k: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _word_rows(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """For each growth word u, the row of each permutation's output word
-    u o sigma, rows numbered over all (input, output) pairs.
-
-    Relabelling letters commutes with S_k, so x kills v_u exactly when it
-    kills every word in u's orbit: these inputs decide the kernel.
-    """
-    rows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    return tuple(
-        tuple(
-            rows.setdefault((u, tuple(u[s - 1] for s in sigma)), len(rows))
-            for sigma in all_permutations(k)
-        )
-        for u in growth_words(m, k)
-    )
-
-
-@lru_cache(maxsize=None)
 def level_annihilator(m: int, k: int) -> tuple[dict[int, int], ...]:
     """A basis of K_mu, the kernel of F S_k on the words in {1..m}^k of
     content mu, the balanced partition of k into min(m, k) parts.
@@ -196,25 +172,42 @@ def level_annihilator(m: int, k: int) -> tuple[dict[int, int], ...]:
     """
     p = min(m, k)
     mu = [len(range(i, k, p)) for i in range(p)]
-    table = [
-        row
-        for u, row in zip(growth_words(m, k), _word_rows(m, k))
+    perms = all_permutations(k)
+    rows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    entries = {
+        (rows.setdefault((u, tuple(u[s - 1] for s in sigma)), len(rows)), j): 1
+        for u in growth_words(m, k)
         if sorted(Counter(u).values(), reverse=True) == mu
-    ]
-    entries = {(r, j): 1 for row in table for j, r in enumerate(row)}
-    height = 1 + max((r for row in table for r in row), default=-1)
-    return tuple(nullspace(SparseMatrix(height, factorial(k), entries)))
+        for j, sigma in enumerate(perms)
+    }
+    matrix = SparseMatrix(len(rows), factorial(k), entries)
+    del rows, entries  # elimination needs neither; they would add to its peak
+    return tuple(nullspace(matrix))
 
 
-def acts_as_zero(m: int, k: int, x: Mapping[int, int]) -> bool:
-    """Whether x in F S_k kills V^(x)k, that is, lies in ann_k."""
-    for row in _word_rows(m, k):
-        out: dict[int, int] = {}
-        for j, c in x.items():
-            out[row[j]] = out.get(row[j], 0) + c
-        if any(out.values()):
-            return False
-    return True
+def unkilled_words(m: int, k: int, rows: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
+    """The sorted words 1^nu_1 2^nu_2 ..., one for each partition nu of k
+    into at most m parts, that some x in ``rows`` fails to kill.
+
+    If ``rows`` span a two-sided ideal I of F S_k, none means I <= ann_k:
+    x in I acting on u o tau is a product of x and tau, again in I, acting
+    on u, and relabelling letters commutes with S_k, so the sorted word of
+    each partition stands for every word in {1..m}^k.
+    """
+    perms = all_permutations(k)
+    unkilled = []
+    for nu in [nu for nu in partitions_of(k) if len(nu) <= m]:
+        u = tuple(a for a, c in enumerate(nu, start=1) for _ in range(c))
+        ids: dict[tuple[int, ...], int] = {}
+        word = [ids.setdefault(tuple(u[s - 1] for s in sigma), len(ids)) for sigma in perms]
+        for x in rows:
+            out = [0] * len(ids)
+            for j, c in x.items():
+                out[word[j]] += c
+            if any(out):
+                unkilled.append(u)
+                break
+    return unkilled
 
 
 @lru_cache(maxsize=None)

@@ -40,13 +40,13 @@ from .diagrams import (
     multiplication_maps,
 )
 from .groupoid import (
-    acts_as_zero,
     basis_change_failures,
     ideal_of_blocks,
     level_annihilator,
     level_blocks,
     level_ideal,
     level_product,
+    unkilled_words,
 )
 from .linalg import SpanBasis, apply_map
 from .reporting import assertion, report
@@ -399,8 +399,9 @@ def check_annihilator_ideal(
     generated by the entries of Y's level-k block.
 
     So the claim holds exactly when I_k = ann_k for every k <= n, and a
-    sandwich decides it.  ann_k is an ideal, so block entries inside ann_k
-    give I_k <= ann_k.  Let mu be the balanced partition of k into
+    sandwich decides it.  I_k is a two-sided ideal, so I_k <= ann_k when its
+    echelon rows kill the sorted word of each partition of k into at most m
+    parts (``unkilled_words``).  Let mu be the balanced partition of k into
     min(m, k) parts and K_mu the kernel of F S_k on the words of content mu
     (``level_annihilator``); those words lie in V^(x)k, so ann_k <= K_mu.
     Then dim I_k = dim K_mu forces I_k = ann_k = K_mu.  (Young's rule says
@@ -418,20 +419,17 @@ def check_annihilator_ideal(
     blocks = level_blocks(top_antisymmetrizer(m + 1, n))
     alive, ann_dims, ideal_dims = [], [], []
     for k, block in enumerate(blocks):
-        alive += [
-            {"level": k, "dom": list(dom), "ran": list(ran)}
-            for (dom, ran), x in block.items()
-            if not acts_as_zero(m, k, x)
-        ]
         ann_dims.append(len(level_annihilator(m, k)))
-        ideal_dims.append(level_ideal(k, block.values()).dimension)
+        ideal = level_ideal(k, block.values())
+        alive += [{"level": k, "word": list(u)} for u in unkilled_words(m, k, ideal.int_rows())]
+        ideal_dims.append(ideal.dimension)
     annihilator = sum(comb(n, k) ** 2 * d for k, d in enumerate(ann_dims))
     ideal_dim = sum(comb(n, k) ** 2 * d for k, d in enumerate(ideal_dims))
     expected_dim = annihilator_dimension_formula(m, n)
     fills = ideal_dims == ann_dims
     assertions = [
         certificate,
-        assertion("generator acts as zero on the tensor power", not alive, alive[:5] or None),
+        assertion("ideal acts as zero on the tensor power", not alive, alive[:5] or None),
         assertion(
             "annihilator dimension matches the Specht count",
             annihilator == expected_dim,

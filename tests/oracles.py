@@ -14,6 +14,7 @@ from rookmonoid.diagrams import (
     Perm,
     Quadruple,
     all_diagrams,
+    all_permutations,
     compose_quadruple,
     coset_reps,
     generators,
@@ -23,6 +24,7 @@ from rookmonoid.diagrams import (
     perm_length,
     star,
 )
+from rookmonoid.groupoid import growth_words
 from rookmonoid.ideals import IdealSpan
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space, saturate
 from rookmonoid.specht import (
@@ -72,6 +74,23 @@ def restrictions(d: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
             for a in cut:
                 img[a] = 0
             yield tuple(img), r
+
+
+def kills_every_growth_word(m: int, k: int, x: dict[int, int]) -> bool:
+    """Whether x in F S_k, in the coordinates of ``all_permutations(k)``,
+    kills V^(x)k with dim V = m: x applied to each growth word u, one per
+    relabelling orbit of letters, sums its coefficients over each output
+    word u o sigma.  The reference for ``groupoid.unkilled_words``, which
+    reads one sorted word per content off the ideal instead."""
+    perms = all_permutations(k)
+    for u in growth_words(m, k):
+        out: dict = {}
+        for j, c in x.items():
+            w = tuple(u[s - 1] for s in perms[j])
+            out[w] = out.get(w, 0) + c
+        if any(out.values()):
+            return False
+    return True
 
 
 def product_by_terms(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

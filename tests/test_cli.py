@@ -159,6 +159,16 @@ def test_verify_lemma_commands(capsys):
     assert code == 0 and data["pass"] is True
 
 
+def test_verify_lemma_4_4_refuses_m_not_below_n(capsys):
+    # check_absorption raises the ValueError, and main turns it into exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma-4-4", "--n", "3", "--m", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "need 0 <= m < n" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_all_small(capsys):
     code, data = run_json(capsys, "verify-all", "--n", "2", "--m", "1")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -14,7 +15,7 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.caps import growth_word_count
+from rookmonoid.caps import balanced_word_count
 from rookmonoid.diagrams import (
     all_diagrams,
     identity,
@@ -27,16 +28,23 @@ from rookmonoid.groupoid import (
     growth_words,
     level_annihilator,
     level_blocks,
+    level_ideal,
     level_product,
     relabel,
     sweep,
+    unkilled_words,
 )
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal, two_sided_ideal
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
 from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
 
-from oracles import annihilator_by_phi_kernel, restrictions, two_sided_ideal_by_saturation
+from oracles import (
+    annihilator_by_phi_kernel,
+    kills_every_growth_word,
+    restrictions,
+    two_sided_ideal_by_saturation,
+)
 
 
 def _assertion(rep, name):
@@ -158,9 +166,44 @@ def test_level_annihilator_reads_the_balanced_words_only(m, k, words, monkeypatc
 
 
 def test_level_guard_counts_the_growth_words():
+    # the growth words whose sorted letter counts form the balanced partition
     for m in range(7):
         for k in range(8):
-            assert growth_word_count(m, k) == len(growth_words(m, k)), (m, k)
+            p = min(m, k)
+            mu = [len(range(i, k, p)) for i in range(p)]
+            balanced = [
+                u for u in growth_words(m, k) if sorted(Counter(u).values(), reverse=True) == mu
+            ]
+            assert balanced_word_count(m, k) == len(balanced), (m, k)
+
+
+def _level_verdicts(m, blocks):
+    """Per level, whether the entries kill V^(x)k by the all-growth-word
+    reference and whether their ideal kills the sorted word of each content."""
+    return [
+        (
+            all(kills_every_growth_word(m, k, x) for x in block.values()),
+            not unkilled_words(m, k, level_ideal(k, block.values()).int_rows()),
+        )
+        for k, block in enumerate(blocks)
+    ]
+
+
+def test_sorted_words_of_the_ideal_agree_with_every_growth_word():
+    for n in range(1, 6):
+        for m in range(n):
+            verdicts = _level_verdicts(m, level_blocks(top_antisymmetrizer(m + 1, n)))
+            assert verdicts == [(True, True)] * (n + 1), (m, n)
+            if m:
+                # Y_m keeps the word 12...m alive from level m on
+                verdicts = _level_verdicts(m, level_blocks(top_antisymmetrizer(m, n)))
+                assert verdicts == [(k < m, k < m) for k in range(n + 1)], (m, n)
+    # 1 + s_1 at (1, 2) keeps the word 11 alive by both readings
+    assert _level_verdicts(1, [{}, {}, {((1, 2), (1, 2)): {0: 1, 1: 1}}]) == [
+        (True, True),
+        (True, True),
+        (False, False),
+    ]
 
 
 def _flip_floor_entry(monkeypatch, target, cut):
@@ -267,9 +310,12 @@ def test_a_wrong_block_entry_of_the_right_dimension_fails_containment(monkeypatc
     monkeypatch.setattr(ideals, "level_blocks", symmetrized)
     rep = check_annihilator_ideal(1, 2)
     assert _failed(rep) == {
-        "generator acts as zero on the tensor power",
+        "ideal acts as zero on the tensor power",
         "annihilator equals the ideal as subspaces",
     }
+    assert _assertion(rep, "ideal acts as zero on the tensor power")["witness"] == [
+        {"level": 2, "word": [1, 1]}
+    ]
     assert _assertion(rep, "ideal fills the annihilator")["pass"]
 
 
