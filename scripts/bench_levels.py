@@ -1,21 +1,23 @@
 """Time the level-by-level annihilator check from the command line.
 
 Runs ``rookmonoid verify-schur-weyl`` in a fresh interpreter for each case
-(n = 6 for m = 1..5, then (1, 5) and (2, 5), then (6, 7) and (3, 7) with
-``--max-cells`` raised past the default cap), one at a time, and records its
-wall time, peak resident memory, exit code, pass flag and the per-level
-dimensions of ann_k and I_k from the report.  Given a second checkout of the
-repository (say, the parent commit), each case also runs there right after,
-on the same machine, and its wall time, memory, exit code and pass flag are
-recorded beside, with that checkout's commit.  A second interpreter times the Specht count
-(``annihilator_dimension_formula``) alone, the part of the check that does
-not run level by level.  Also times the refusals at (2, 7) and (1, 8),
-``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at n = 9, and
-the quasi-idempotent products and block ideals: ``verify-blocks`` at n = 4
-and 5 and its refusal at n = 6, ``e-element --n 6 --lambda 6`` and the
-refusal of ``--n 8 --lambda 8``.  Last, the groupoid basis-change
-certificate alone (``basis_change_failures``) at n = 5, 6 and 7, with its
-own time and the interpreter's peak resident memory.
+(n = 6 and n = 7 for every m >= 1, then (1, 5) and (2, 5), all at the
+default cap), one at a time, and records its wall time, peak resident
+memory, exit code, pass flag and the per-level dimensions of ann_k and I_k
+from the report.  Given a second checkout of the repository (say, the
+parent commit), each case also runs there right after, on the same machine,
+with ``--max-cells`` raised past the default cap so that an older guard does
+not refuse it, and its wall time, memory, exit code and pass flag are
+recorded beside, with that checkout's commit.  A second interpreter times
+the Specht count (``annihilator_dimension_formula``) alone, the part of the
+check that does not run level by level.  Also times the refusals at (1, 8)
+and (2, 8), ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at
+n = 9, and the quasi-idempotent products and block ideals:
+``verify-blocks`` at n = 4 and 5 and its refusal at n = 6,
+``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``.
+Last, the groupoid basis-change certificate alone
+(``basis_change_failures``) at n = 5, 6 and 7, with its own time and the
+interpreter's peak resident memory, in the second checkout too.
 Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json [PARENT_CHECKOUT]
@@ -35,9 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RAISED_CAP = 100_000_000
-CASES = [(m, 6, None) for m in range(1, 6)] + [(1, 5, None), (2, 5, None)]
-CASES += [(6, 7, RAISED_CAP), (3, 7, RAISED_CAP)]
-REFUSED = [(2, 7), (1, 8)]
+CASES = [(m, n) for n in (6, 7) for m in range(1, n)] + [(1, 5), (2, 5)]
+REFUSED = [(1, 8), (2, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
 PRODUCTS = [  # (argv, expected exit code)
     (["verify-blocks", "--n", "4"], 0),
@@ -109,16 +110,26 @@ def outcome(wall: float, proc: subprocess.CompletedProcess) -> dict:
             "exit_code": proc.returncode, "pass": rep.get("pass")}
 
 
+def certificate_run(n: int, root: Path) -> dict:
+    """The basis-change certificate alone at n, in a fresh interpreter."""
+    wall, proc = run_argv(["-c", CERTIFICATE.format(n=n)], root)
+    entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+    if proc.returncode == 0:
+        entry.update(json.loads(proc.stdout))
+    else:
+        entry["stderr"] = proc.stderr.strip()
+    return entry
+
+
 def main(out: str, parent: Path | None = None) -> int:
     cases = []
-    for m, n, max_cells in CASES:
-        wall, proc = run(m, n, max_cells)
+    for m, n in CASES:
+        wall, proc = run(m, n)
         rep = json.loads(proc.stdout)
         fills = next(a for a in rep["assertions"] if a["name"] == "ideal fills the annihilator")
         cases.append({
             "m": m,
             "n": n,
-            "max_cells": max_cells,
             **outcome(wall, proc),
             "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
             "annihilator": fills["witness"]["annihilator"],
@@ -126,7 +137,7 @@ def main(out: str, parent: Path | None = None) -> int:
             "dim_I_k": fills["witness"]["ideal_by_level"],
         })
         if parent:
-            cases[-1]["parent"] = outcome(*run(m, n, max_cells, root=parent))
+            cases[-1]["parent"] = outcome(*run(m, n, RAISED_CAP, root=parent))
         print(json.dumps(cases[-1]), file=sys.stderr)
     refused = []
     for m, n in REFUSED:
@@ -158,12 +169,9 @@ def main(out: str, parent: Path | None = None) -> int:
         print(json.dumps(entry), file=sys.stderr)
     certificate = []
     for n in CERTIFICATE_N:
-        wall, proc = run_argv(["-c", CERTIFICATE.format(n=n)])
-        entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
-        if proc.returncode == 0:
-            entry.update(json.loads(proc.stdout))
-        else:
-            entry["stderr"] = proc.stderr.strip()
+        entry = certificate_run(n, ROOT)
+        if parent:
+            entry["parent"] = certificate_run(n, parent)
         certificate.append(entry)
         print(json.dumps(entry), file=sys.stderr)
     record = {
@@ -188,7 +196,7 @@ def main(out: str, parent: Path | None = None) -> int:
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
         and all(p["exit_code"] == p["expected_exit_code"] for p in products)
-        and all(c.get("certified") for c in certificate)
+        and all(c.get("certified") and c.get("parent", c).get("certified") for c in certificate)
     )
     return 0 if ok else 1
 

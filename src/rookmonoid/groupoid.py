@@ -49,7 +49,7 @@ from .diagrams import (
     reach,
     three_generators,
 )
-from .linalg import SpanBasis, SparseMatrix, apply_map, nullspace, saturate
+from .linalg import SpanBasis, apply_map, saturate
 from .specht import partitions_of
 
 Block = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
@@ -81,8 +81,8 @@ def basis_change_failures(
     """Certificate that floor is an isomorphism onto the matrix algebras.
 
     Returns, for the generators g of ``three_generators`` (s_1, the n-cycle
-    and p_1): the pairs (d, g) with floor(d) g != floor(d g) when ran d lies
-    in dom g, or != 0 otherwise, over every diagram d; whether
+    and p_1): the pairs (d, g), d in diagram order, with floor(d) g !=
+    floor(d g) when d g keeps the domain of d, or != 0 otherwise; whether
     1 = sum over A of floor(id_A); the number of products checked,
     |R_n| * 3; and how many diagrams the identity ``reach``es under right
     multiplication by them.  No pairs, True and all reached mean certified.
@@ -94,26 +94,28 @@ def basis_change_failures(
     ran d <= dom t <= dom e and d t = d e, and their signs cancel unless
     ran d = dom e: that is the product rule.  The unit check makes the
     isomorphism unital.  Each floor(d), and the sum of the floor(id_A), is a
-    Moebius ``sweep``.
+    Moebius ``sweep``, built and dropped one domain at a time.
     """
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)
     right = multiplication_maps(diags, (), gens)
-    floor = [{index[t]: c for t, c in sweep({d: 1}, -1).items()} for d in diags]
-    bad = []
+    domains: dict[tuple[bool, ...], list[int]] = {}
     for i, d in enumerate(diags):
-        ran = set(d) - {0}
-        for g, tau in zip(gens, right):
-            inside = all(g[b - 1] for b in ran)
-            expect = floor[tau[i]] if inside else {}
-            if apply_map(tau, floor[i]) != expect:
-                bad.append((d, g))
+        domains.setdefault(tuple(map(bool, d)), []).append(i)
+    bad = []
+    for group in domains.values():
+        floor = {i: {index[t]: c for t, c in sweep({diags[i]: 1}, -1).items()} for i in group}
+        for i in group:
+            for j, tau in enumerate(right):
+                if apply_map(tau, floor[i]) != floor.get(tau[i], {}):
+                    bad.append((i, j))
     one = identity(n)
     reached = reach(right, index[one])
     partial_identities = itertools.product(*((0, a) for a in one))
     unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
-    return tuple(bad), unit_holds, len(diags) * len(gens), len(reached)
+    failing = tuple((diags[i], gens[j]) for i, j in sorted(bad))
+    return failing, unit_holds, len(diags) * len(gens), len(reached)
 
 
 def relabel(t: Sequence[int]) -> Perm:
@@ -161,28 +163,29 @@ def growth_words(m: int, k: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def level_annihilator(m: int, k: int) -> tuple[dict[int, int], ...]:
-    """A basis of K_mu, the kernel of F S_k on the words in {1..m}^k of
-    content mu, the balanced partition of k into min(m, k) parts.
+def level_annihilator(m: int, k: int) -> int:
+    """dim K_mu, the kernel of F S_k on the words in {1..m}^k of content mu,
+    the balanced partition of k into min(m, k) parts.
 
     Those words lie in V^(x)k with dim V = m, so K_mu contains ann_k; for
     m = 0 and k >= 1 there are none, and K_mu is all of F S_k.  Relabelling
     letters keeps the content and commutes with S_k, so the growth words of
-    content mu decide K_mu.  Cached; treat as read-only.
+    content mu decide K_mu: x kills u when it sums to 0 on each fibre
+    {sigma : u o sigma = w}, so dim K_mu is k! minus the rank of the
+    fibres' indicator rows.  Cached.
     """
     p = min(m, k)
     mu = [len(range(i, k, p)) for i in range(p)]
     perms = all_permutations(k)
-    rows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    entries = {
-        (rows.setdefault((u, tuple(u[s - 1] for s in sigma)), len(rows)), j): 1
-        for u in growth_words(m, k)
-        if sorted(Counter(u).values(), reverse=True) == mu
-        for j, sigma in enumerate(perms)
-    }
-    matrix = SparseMatrix(len(rows), factorial(k), entries)
-    del rows, entries  # elimination needs neither; they would add to its peak
-    return tuple(nullspace(matrix))
+    span = SpanBasis(factorial(k))
+    for u in growth_words(m, k):
+        if sorted(Counter(u).values(), reverse=True) == mu:
+            fibres: dict[tuple[int, ...], dict[int, int]] = {}
+            for j, sigma in enumerate(perms):
+                fibres.setdefault(tuple(u[s - 1] for s in sigma), {})[j] = 1
+            for row in fibres.values():
+                span.insert(row)
+    return factorial(k) - span.dimension
 
 
 def unkilled_words(m: int, k: int, rows: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:

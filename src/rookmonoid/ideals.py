@@ -17,7 +17,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from math import comb, factorial
 
 from . import specht
@@ -131,8 +130,8 @@ def check_one_dimensional_ideals(n: int) -> dict:
             label = f"{kind}_{next(a for a, b in enumerate(d, start=1) if a != b)}"
             # the coordinates of g e and e g
             products = (apply_map(left, coords), apply_map(right, coords))
-            # the one candidate multiple: x's j0 coordinate over e's
-            if any(x != scaled(Fraction(x.get(j0, 0), c0)) for x in products):
+            # x is a multiple of e exactly when c0 x = x_j0 e, c0 = e_j0 != 0
+            if any(scaled(x.get(j0, 0)) != {j: c0 * c for j, c in x.items()} for x in products):
                 outside.append(label)
             expect = scaled(eigen[kind])
             if any(x != expect for x in products):
@@ -419,7 +418,7 @@ def check_annihilator_ideal(
     blocks = level_blocks(top_antisymmetrizer(m + 1, n))
     alive, ann_dims, ideal_dims = [], [], []
     for k, block in enumerate(blocks):
-        ann_dims.append(len(level_annihilator(m, k)))
+        ann_dims.append(level_annihilator(m, k))
         ideal = level_ideal(k, block.values())
         alive += [{"level": k, "word": list(u)} for u in unkilled_words(m, k, ideal.int_rows())]
         ideal_dims.append(ideal.dimension)

@@ -171,8 +171,8 @@ class SpanBasis:
         return tuple(sorted(self._rows))
 
     def int_rows(self) -> list[dict[int, int]]:
-        """Copies of the primitive integer rows, in pivot order."""
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
+        """The primitive integer rows, in pivot order; treat as read-only."""
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter, deque
 
 import pytest
 
@@ -19,13 +20,14 @@ from rookmonoid.caps import (
     level_work,
     quasi_idempotent_pairs,
 )
-from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
-from rookmonoid import verify
+from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent, top_antisymmetrizer
+from rookmonoid import groupoid, linalg, verify
 from rookmonoid.cli import main
-from rookmonoid.diagrams import monoid_order
+from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators
 from rookmonoid.ideals import block_ideal
+from rookmonoid.linalg import SpanBasis
 from rookmonoid.reporting import assertion, report
-from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
+from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau, specht_basis
 
 
 def run_cli(capsys, *argv):
@@ -187,9 +189,9 @@ def test_cap_exit_code(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("m, n", [(2, 7), (1, 8)])
+@pytest.mark.parametrize("m, n", [(2, 8), (1, 8)])
 def test_cap_counts_phi_entries(m, n, capsys):
-    # the level guard refuses what once meant tens of millions of phi entries
+    # the level guard refuses n = 8, about 430M entries, before any work
     started = time.monotonic()
     code = main(["verify-schur-weyl", "--m", str(m), "--n", str(n)])
     elapsed = time.monotonic() - started
@@ -206,6 +208,55 @@ def test_level_guard_admits_n6(m):
     # every m < 6 passes the default cap at n = 6; not run, only guarded
     assert level_work(m, 6) <= DEFAULT_MAX_CELLS
     check_level_cap(m, 6, DEFAULT_MAX_CELLS)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_level_guard_admits_n7(m):
+    # 7.53M-8.09M entries pass the default cap at n = 7; not run, only guarded
+    assert level_work(m, 7) <= DEFAULT_MAX_CELLS
+    check_level_cap(m, 7, DEFAULT_MAX_CELLS)
+
+
+def test_level_bound_covers_stored_entries(monkeypatch):
+    # the certificate's index maps and its floors of the largest domain, and
+    # per level the larger of the kernel's echelon span and the ideal's with
+    # its saturation queue at its fullest (the kernel's span is dropped
+    # before the ideal's is built), all counted as if held at once
+    spans, queues = [], []
+
+    class Span(SpanBasis):
+        def __init__(self, dim):
+            super().__init__(dim)
+            spans.append(self)
+
+    class Queue(deque):
+        def __init__(self, vecs=()):
+            super().__init__(vecs)
+            self.peak = sum(map(len, self))
+            queues.append(self)
+
+        def append(self, vec):
+            super().append(vec)
+            self.peak = max(self.peak, sum(map(len, self)))
+
+    monkeypatch.setattr(groupoid, "SpanBasis", Span)
+    monkeypatch.setattr(linalg, "SpanBasis", Span)
+    monkeypatch.setattr(linalg, "deque", Queue)
+    for n in range(1, 6):
+        floors = Counter()
+        for d in all_diagrams(n):
+            floors[tuple(map(bool, d))] += len(groupoid.sweep({d: 1}, -1))
+        fixed = len(three_generators(n)) * monoid_order(n) + max(floors.values())
+        for m in range(n):
+            spans.clear()
+            queues.clear()
+            for k, block in enumerate(groupoid.level_blocks(top_antisymmetrizer(m + 1, n))):
+                groupoid.level_annihilator.__wrapped__(m, k)
+                groupoid.level_ideal(k, block.values())
+            assert len(spans) == 2 * (n + 1) and len(queues) == n + 1
+            sizes = [sum(map(len, span.int_rows())) for span in spans]
+            held = [max(a, b + q.peak) for a, b, q in zip(sizes[::2], sizes[1::2], queues)]
+            assert fixed + sum(held) <= level_work(m, n), (m, n)
 
 
 def test_specht_dims_refuses_n9(capsys):
@@ -258,6 +309,21 @@ def test_block_bound_covers_stored_entries():
     with pytest.raises(SizeCapError) as exc:
         check_block_cap(5, 2_075_475)
     assert exc.value.value == 2_075_476
+
+
+def test_verify_all_leaves_the_cached_rows_alone(capsys):
+    # int_rows hands out the stored echelon rows, not copies, so no check of
+    # the grid may write to the cached bases it reads
+    shapes = all_shapes(4)
+    cached = [block_ideal(shape, 4).basis for shape in shapes]
+    cached += [specht_basis(shape, 4) for shape in shapes]
+    before = [[dict(row) for row in basis.int_rows()] for basis in cached]
+    code, _ = run_cli(capsys, "verify-all", "--n", "4", "--m", "3")
+    assert code == 0
+    after = [block_ideal(shape, 4).basis for shape in shapes]
+    after += [specht_basis(shape, 4) for shape in shapes]
+    assert all(a is b for a, b in zip(after, cached))
+    assert [basis.int_rows() for basis in cached] == before
 
 
 def test_specht_guard_admits_n8():

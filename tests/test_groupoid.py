@@ -107,8 +107,9 @@ def test_mobius_element_acts_on_its_range_support_only(m, n):
 
 
 def test_growth_words_decide_the_level_annihilator():
-    # the kernel on the growth words of balanced content is the kernel on
-    # every word of {1..m}^k
+    # K_mu, the kernel on the growth words of balanced content, contains the
+    # kernel on every word of {1..m}^k (fewer words, fewer conditions), so
+    # equal dimensions mean equal kernels
     for m in range(5):
         for k in range(6):
             perms = sorted(itertools.permutations(range(1, k + 1)))
@@ -117,14 +118,20 @@ def test_growth_words_decide_the_level_annihilator():
                 for j, sigma in enumerate(perms):
                     key = (u, tuple(u[s - 1] for s in sigma))
                     entries[(rows.setdefault(key, len(rows)), j)] = 1
-            full = SpanBasis(len(perms))
-            for vec in nullspace(SparseMatrix(max(len(rows), 1), len(perms), entries)):
-                full.insert(vec)
-            fast = SpanBasis(len(perms))
-            for vec in level_annihilator(m, k):
-                fast.insert(vec)
-            assert fast == full, (m, k)
+            full = nullspace(SparseMatrix(max(len(rows), 1), len(perms), entries))
+            assert level_annihilator(m, k) == len(full), (m, k)
     assert len(growth_words(3, 5)) == 1 + 15 + 25  # S(5,1) + S(5,2) + S(5,3)
+
+
+def test_a_diagram_keeps_its_domain_when_its_range_lies_in_the_next():
+    # dom(d e) = dom d exactly when ran d lies in dom e, so the certificate's
+    # expected floors stay inside the domain of d
+    for n in range(1, 5):
+        for d, e in itertools.product(all_diagrams(n), repeat=2):
+            dom_d = {a for a, b in enumerate(d, start=1) if b}
+            dom_de = {a for a, b in enumerate(multiply(d, e), start=1) if b}
+            inside = all(e[b - 1] for b in d if b)
+            assert (dom_de == dom_d) == inside, (d, e)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -154,15 +161,16 @@ def test_sweep_matches_its_definition(n):
     [(3, 5, 15), (2, 4, 3), (4, 4, 1), (7, 4, 1), (1, 3, 1), (0, 3, 0), (0, 0, 1)],
 )
 def test_level_annihilator_reads_the_balanced_words_only(m, k, words, monkeypatch):
-    seen = []
-    monkeypatch.setattr(groupoid, "nullspace", lambda matrix: seen.append(matrix) or [])
-    level_annihilator.cache_clear()
-    try:
-        level_annihilator(m, k)
-    finally:
-        level_annihilator.cache_clear()
-    (matrix,) = seen
-    assert len(matrix.entries) == words * factorial(k)
+    inserted = []
+
+    class Counting(SpanBasis):
+        def insert(self, vec):
+            inserted.append(len(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(groupoid, "SpanBasis", Counting)
+    groupoid.level_annihilator.__wrapped__(m, k)
+    assert sum(inserted) == words * factorial(k)
 
 
 def test_level_guard_counts_the_growth_words():
@@ -274,6 +282,19 @@ def test_a_flipped_sign_on_rank_two_fails_the_certificate(
     assert witness["reached"] == witness["order"] == monoid_order(4)
     assert all(target in (tuple(d), multiply(tuple(d), tuple(g))) for d, g in witness["failing"])
     assert [target, (2, 3, 4, 1)] in [[tuple(d), tuple(g)] for d, g in witness["failing"]]
+
+
+def test_failing_products_come_in_diagram_order(monkeypatch, fresh_certificate):
+    # the floors are built one domain at a time, but the failing pairs of
+    # flips in two domains still come as one pass over the diagrams gives them
+    _flip_floor_entry(monkeypatch, (3, 0, 0, 1), (0, 0, 0, 1))
+    _flip_floor_entry(monkeypatch, (2, 3, 0, 0), (2, 0, 0, 0))
+    failing, unit, _, _ = basis_change_failures(4)
+    order = {d: i for i, d in enumerate(all_diagrams(4))}
+    keys = [(order[d], three_generators(4).index(g)) for d, g in failing]
+    assert unit and keys == sorted(keys)
+    domains = [tuple(map(bool, d)) for d, _ in failing]
+    assert domains != sorted(domains, key=domains.index)  # the two domains interleave
 
 
 def test_a_dropped_block_entry_fails_to_fill_the_annihilator(monkeypatch):
