@@ -15,9 +15,12 @@ and (2, 8), ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at
 n = 9, and the quasi-idempotent products and block ideals:
 ``verify-blocks`` at n = 4 and 5 and its refusal at n = 6,
 ``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``.
-Last, the groupoid basis-change certificate alone
+Then the groupoid basis-change certificate alone
 (``basis_change_failures``) at n = 5, 6 and 7, with its own time and the
-interpreter's peak resident memory, in the second checkout too.
+interpreter's peak resident memory, in the second checkout too.  Last, the
+Specht characters alone (``groupoid.characters(k)``, the per-level
+certificate of the check) for each k <= 8, each in a fresh interpreter,
+with their time, whether they certify the level and the peak memory.
 Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json [PARENT_CHECKOUT]
@@ -48,6 +51,7 @@ PRODUCTS = [  # (argv, expected exit code)
     (["e-element", "--n", "8", "--lambda", "8"], 3),
 ]
 CERTIFICATE_N = [5, 6, 7]
+CHARACTERS_K = range(9)
 
 
 FORMULA = "from rookmonoid.ideals import annihilator_dimension_formula as f; f({m}, {n})"
@@ -62,6 +66,20 @@ print(json.dumps({{
     "certified": not failing and unit and reached == monoid_order({n}),
     "products": products,
     "reached": reached,
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}}))
+"""
+
+
+CHARACTERS = """\
+import json, resource, time
+from rookmonoid.groupoid import characters
+started = time.perf_counter()
+chars = characters({k})
+print(json.dumps({{
+    "characters_s": round(time.perf_counter() - started, 2),
+    "certified": chars.certified,
+    "shapes": len(chars.table),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
 }}))
 """
@@ -110,10 +128,10 @@ def outcome(wall: float, proc: subprocess.CompletedProcess) -> dict:
             "exit_code": proc.returncode, "pass": rep.get("pass")}
 
 
-def certificate_run(n: int, root: Path) -> dict:
-    """The basis-change certificate alone at n, in a fresh interpreter."""
-    wall, proc = run_argv(["-c", CERTIFICATE.format(n=n)], root)
-    entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+def certificate_run(n: int, root: Path, script: str = CERTIFICATE, key: str = "n") -> dict:
+    """One certificate alone at n (or k), in a fresh interpreter."""
+    wall, proc = run_argv(["-c", script.format(**{key: n})], root)
+    entry = {key: n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
     if proc.returncode == 0:
         entry.update(json.loads(proc.stdout))
     else:
@@ -174,6 +192,8 @@ def main(out: str, parent: Path | None = None) -> int:
             entry["parent"] = certificate_run(n, parent)
         certificate.append(entry)
         print(json.dumps(entry), file=sys.stderr)
+    characters = [certificate_run(k, ROOT, CHARACTERS, "k") for k in CHARACTERS_K]
+    print(json.dumps(characters), file=sys.stderr)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
         "machine": {
@@ -189,6 +209,7 @@ def main(out: str, parent: Path | None = None) -> int:
         "specht_dims": specht_dims,
         "products": products,
         "certificate": certificate,
+        "characters": characters,
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
     ok = (
@@ -197,6 +218,7 @@ def main(out: str, parent: Path | None = None) -> int:
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
         and all(p["exit_code"] == p["expected_exit_code"] for p in products)
         and all(c.get("certified") and c.get("parent", c).get("certified") for c in certificate)
+        and all(c.get("certified") for c in characters)
     )
     return 0 if ok else 1
 

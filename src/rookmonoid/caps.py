@@ -9,6 +9,7 @@ the cap explicitly.
 from __future__ import annotations
 
 from math import comb, factorial, prod
+from typing import Iterator
 
 from .diagrams import monoid_order
 from .specht import Shape, all_shapes, conjugate
@@ -68,14 +69,15 @@ def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
     )
 
 
-def quasi_idempotent_pairs(shape: Shape, n: int) -> int:
+def quasi_idempotent_pairs(shape: Shape, n: int, *after: int) -> int:
     """A bound on the term pairs ``tableau_quasi_idempotent`` multiplies for
-    a tableau of the shape: starting from 1 it multiplies by factors f_i of
-    |f_i| terms, (h+1)! for a column antisymmetrizer on h vertices, |R_k|
-    for a row symmetrizer on k vertices and 1 for each deletion, and the
-    product before f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
+    a tableau of the shape, then by factors of ``after`` terms: starting
+    from 1 it multiplies by factors f_i of |f_i| terms, (h+1)! for a column
+    antisymmetrizer on h vertices, |R_k| for a row symmetrizer on k vertices
+    and 1 for each deletion, and the product before f_i has at most
+    min(prod_{j<i} |f_j|, |R_n|) terms."""
     sizes = [factorial(h + 1) for h in conjugate(tuple(shape))]
-    sizes += [monoid_order(k) for k in shape] + [1] * (n - sum(shape))
+    sizes += [monoid_order(k) for k in shape] + [1] * (n - sum(shape)) + list(after)
     order = monoid_order(n)
     pairs, terms = 0, 1
     for size in sizes:
@@ -95,32 +97,50 @@ def check_quasi_idempotent_cap(shape: Shape, n: int, max_cells: int) -> None:
     )
 
 
-def balanced_word_count(m: int, k: int) -> int:
-    """Growth words of length k whose letter counts form mu, the balanced
-    partition of k into min(m, k) parts: the set partitions of k with block
-    sizes mu, k! / (prod_i mu_i! prod_j mult_j(mu)!); none when m = 0 < k."""
-    if m == 0 < k:
-        return 0
-    p = min(m, k)
-    mu = [len(range(i, k, p)) for i in range(p)]
-    return factorial(k) // prod(map(factorial, mu + [mu.count(v) for v in set(mu)]))
-
-
-def level_work(m: int, n: int) -> int:
-    """Entries the level-by-level annihilator check stores at (m, n): the
+def level_work(n: int) -> int:
+    """Entries the level-by-level annihilator check stores at n: the
     certificate's three index maps over R_n and one domain's floors, at most
-    n! 2^n Moebius terms; per level k, the larger echelon span, at most
-    D (k! - D + 1) <= (k! + 1)^2 / 4 entries at dimension D, plus k! per
-    balanced growth word (the kernel's fibre rows), a margin that has held
-    the ideal's saturation queue in every case measured."""
-    return 3 * monoid_order(n) + factorial(n) * 2**n + sum(
-        (factorial(k) + 1) ** 2 // 4 + factorial(k) * balanced_word_count(m, k)
-        for k in range(n + 1)
-    )
+    n! 2^n Moebius terms, and ``specht_entries(n)`` for the Specht modules
+    at n that the Specht count reads and again for the W_lambda, lambda of
+    k <= n, that the characters read (term by term no more than at n)."""
+    return 3 * monoid_order(n) + factorial(n) * 2**n + 2 * specht_entries(n)
 
 
 def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
-    check_cap(f"groupoid level work at m={m}, n={n}", level_work(m, n), max_cells)
+    check_cap(f"groupoid level work at m={m}, n={n}", level_work(n), max_cells)
+
+
+def _tall_shapes(r: int, rows: int, widest: int) -> Iterator[Shape]:
+    """The shapes of r boxes with at least ``rows`` rows of at most
+    ``widest`` boxes, visiting no other shape."""
+    if r == 0:
+        yield ()
+    for a in range(min(r, widest), 0, -1):
+        if r - a >= rows - 1:
+            yield from ((a,) + tail for tail in _tall_shapes(r - a, rows - 1, a))
+
+
+def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    """Refuse ``check_absorption`` when its term pairs exceed ``max_cells``:
+    per shape with more than m rows, ``quasi_idempotent_pairs`` and then y,
+    (m+2)! terms.  The count stops at the first shape that takes it past
+    the cap, and the refusal gives the pairs counted so far, so an absurd n
+    is refused without listing its shapes."""
+    pairs = 0
+    for r in range(m + 1, n + 1):
+        for shape in _tall_shapes(r, m + 1, r):
+            pairs += quasi_idempotent_pairs(shape, n, factorial(m + 2))
+            check_cap(f"absorption term pairs at m={m}, n={n}", pairs, max_cells)
+
+
+def check_orthogonality_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+    """Refuse ``check_specht_orthogonality`` when the tableaux it lists,
+    C(n,r) r! per shape of r boxes, times the tabloids its Specht bases run
+    over exceed ``max_cells``.  The monoid order goes first, as shape (n)
+    has a row symmetrizer of |R_n| terms, so an absurd n lists no shape."""
+    check_order_cap(n, max_cells)
+    tableaux = sum(comb(n, sum(s)) * factorial(sum(s)) for s in all_shapes(n))
+    check_cap(f"tableau-tabloid pairs at n={n}", tableaux * tabloid_count(n), max_cells)
 
 
 def standard_tableaux(shape: Shape) -> int:
@@ -150,13 +170,25 @@ def check_block_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     check_cap(f"block ideal echelon entries at n={n}", block_entries(n), max_cells)
 
 
+def tabloid_count(n: int) -> int:
+    """The tabloids of every shape at n, C(n,r) r! / prod(lambda_i!) for a
+    shape lambda of r boxes, without listing the shapes: g[s] sums
+    s! / prod(lambda_i!) over the shapes of s boxes with rows of at most j
+    boxes."""
+    g = [1] + [0] * n
+    for j in range(1, n + 1):
+        for s in range(j, n + 1):
+            g[s] += comb(s, j) * g[s - j]
+    return sum(comb(n, r) * g[r] for r in range(n + 1))
+
+
+def specht_entries(n: int) -> int:
+    """Entries of the swap maps of every Specht basis at n: n - 1 maps over
+    each shape's tabloids, more than its echelon rows hold."""
+    return (n - 1) * tabloid_count(n)
+
+
 def check_specht_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
-    """Refuse the Specht bases of every shape at n when their swap maps are
-    too large: each shape lambda of r boxes stores n - 1 maps over its
-    C(n,r) r! / prod(lambda_i!) tabloids, more than its echelon rows hold."""
-    entries = sum(
-        (n - 1) * comb(n, sum(shape)) * factorial(sum(shape))
-        // prod(factorial(k) for k in shape)
-        for shape in all_shapes(n)
-    )
-    check_cap(f"Specht swap-map entries at n={n}", entries, max_cells)
+    """Refuse the Specht bases of every shape at n when ``specht_entries``
+    exceeds ``max_cells``."""
+    check_cap(f"Specht swap-map entries at n={n}", specht_entries(n), max_cells)

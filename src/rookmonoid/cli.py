@@ -214,6 +214,7 @@ def cmd_verify_blocks(args, parser) -> int:
 
 
 def cmd_verify_orthogonality(args, parser) -> int:
+    caps.check_orthogonality_cap(args.n)
     return _report_exit(ideals.check_specht_orthogonality(args.n), args)
 
 
@@ -226,6 +227,7 @@ def cmd_verify_schur_weyl(args, parser) -> int:
 
 
 def cmd_verify_absorption(args, parser) -> int:
+    caps.check_absorption_cap(args.m, args.n)
     return _report_exit(ideals.check_absorption(args.m, args.n), args)
 
 
@@ -260,8 +262,10 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
         ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), capped,
          caps.check_level_cap),
         ("blocks", ideals.check_block_decomposition, small, {}, caps.check_block_cap),
-        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3], {}, None),
-        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), {}, None),
+        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3], {},
+         caps.check_orthogonality_cap),
+        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), {},
+         caps.check_absorption_cap),
         ("specht-dimensions", verify.check_specht_dimension_sum, small, {}, None),
     ]
     tasks = []

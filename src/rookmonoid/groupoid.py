@@ -17,10 +17,9 @@ change between the two coordinates: the zeta transform one way, the Moebius
 transform back.
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
-out the marked vector.  A two-sided ideal of F S_k kills it when it kills one
-sorted word per content (``unkilled_words``).  The kernel is computed on the
-growth words of one balanced content: it contains the annihilator, and a
-matching dimension closes the sandwich in ``check_annihilator_ideal``.
+out the marked vector.  Its two-sided ideals are read off the characters of
+the Specht modules (``characters``): which irreducibles a module of words
+contains, and which of them an element acts on (``check_annihilator_ideal``).
 
 Two-sided ideals and products of elements are read off the same levels: an
 element's ideal is built from S_k ideals (``ideal_of_blocks``), and its
@@ -31,9 +30,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraElement
 from .diagrams import (
@@ -50,7 +50,15 @@ from .diagrams import (
     three_generators,
 )
 from .linalg import SpanBasis, apply_map, saturate
-from .specht import partitions_of
+from .specht import (
+    Shape,
+    act_on_tabloid,
+    all_tabloids,
+    partitions_of,
+    partner_map,
+    specht_basis,
+    tabloid_index,
+)
 
 Block = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
 
@@ -162,55 +170,131 @@ def growth_words(m: int, k: int) -> list[tuple[int, ...]]:
     return words
 
 
-@lru_cache(maxsize=None)
-def level_annihilator(m: int, k: int) -> int:
-    """dim K_mu, the kernel of F S_k on the words in {1..m}^k of content mu,
-    the balanced partition of k into min(m, k) parts.
+def balanced(m: int, k: int) -> tuple[int, ...]:
+    """mu, the balanced partition of k into min(m, k) parts; () when m = 0."""
+    return tuple(len(range(i, k, min(m, k))) for i in range(min(m, k)))
 
-    Those words lie in V^(x)k with dim V = m, so K_mu contains ann_k; for
-    m = 0 and k >= 1 there are none, and K_mu is all of F S_k.  Relabelling
-    letters keeps the content and commutes with S_k, so the growth words of
-    content mu decide K_mu: x kills u when it sums to 0 on each fibre
-    {sigma : u o sigma = w}, so dim K_mu is k! minus the rank of the
-    fibres' indicator rows.  Cached.
+
+def cycle_type(sigma: Perm) -> tuple[int, ...]:
+    """The cycle lengths of a permutation, largest first."""
+    seen: set[int] = set()
+    lengths = []
+    for a in sigma:
+        length = 0
+        while a not in seen:
+            seen.add(a)
+            a = sigma[a - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+class Characters(NamedTuple):
+    """chi_lambda for each shape lambda of k on the classes of S_k (one
+    cycle type each, the identity's last), the class sizes, the class of
+    each permutation of ``all_permutations(k)``, and the certificate."""
+
+    types: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    class_of: tuple[int, ...]
+    table: dict[Shape, tuple[Fraction, ...]]
+    certified: bool
+
+    def support(self, values: Sequence[int]) -> set[Shape]:
+        """The shapes whose character meets the class function ``values``:
+        the W_lambda that a module with that character contains."""
+        return {
+            s
+            for s, chi in self.table.items()
+            if sum(z * x * y for z, x, y in zip(self.sizes, chi, values))
+        }
+
+
+@lru_cache(maxsize=None)
+def characters(k: int) -> Characters:
+    """The characters chi_lambda of S_k, lambda a partition of k, on one
+    permutation g per cycle type: the certificate that decides level k.
+
+    W_lambda = ``specht_basis(lambda, k)`` is held in reduced echelon form,
+    so g r has coordinate (g r)[p] / r[p] on the row r with pivot p, and
+    chi_lambda(g) is the sum of those over the rows.
+
+    F S_k is semisimple (Maschke), the sum of End(W) over its irreducibles
+    W, whose dimensions squared add up to k!.  In characteristic 0,
+    <chi, chi> = 1 makes W_lambda absolutely irreducible and
+    <chi_lambda, chi_nu> = 0 makes two of them non-isomorphic, so with
+    sum f_lambda^2 = k! they are all, and every two-sided ideal is the sum
+    of the End(W_lambda) over its support (Serre, Linear Representations of
+    Finite Groups, 2.3-2.4).  ``certified`` says those three facts hold.
+    Cached; treat as read-only.
     """
-    p = min(m, k)
-    mu = [len(range(i, k, p)) for i in range(p)]
     perms = all_permutations(k)
-    span = SpanBasis(factorial(k))
+    cycles = [cycle_type(sigma) for sigma in perms]
+    types = tuple(sorted(set(cycles), reverse=True))
+    class_of = tuple(map(types.index, cycles))
+    sizes = tuple(class_of.count(i) for i in range(len(types)))
+    table = {}
+    for shape in partitions_of(k):
+        basis, tabloids, index = specht_basis(shape, k), all_tabloids(shape, k), tabloid_index(shape, k)
+        table[shape] = tuple(
+            sum(
+                Fraction(r.get(index[act_on_tabloid(partner_map(g), tabloids[p])], 0), r[p])
+                for p, r in zip(basis.pivots(), basis.int_rows())
+            )
+            for g in (perms[class_of.index(i)] for i in range(len(types)))
+        )
+    certified = sum(chi[-1] ** 2 for chi in table.values()) == factorial(k) and all(
+        sum(z * x * y for z, x, y in zip(sizes, a, b)) == factorial(k) * (s == t)
+        for s, a in table.items()
+        for t, b in table.items()
+    )
+    return Characters(types, sizes, class_of, table, certified)
+
+
+def tensor_character(m: int, k: int) -> list[int]:
+    """The character of V^(x)k, dim V = m, on each class of
+    ``characters(k)``: g fixes the m^(cycles of g) words constant on its
+    cycles."""
+    return [m ** len(t) for t in characters(k).types]
+
+
+def content_character(m: int, k: int) -> list[int]:
+    """The character of the words of content ``balanced(m, k)`` on each
+    class of ``characters(k)``: the number of them g fixes."""
+    return [fixed_words(t, balanced(m, k)) for t in characters(k).types]
+
+
+def fixed_words(cycles: Sequence[int], content: tuple[int, ...]) -> int:
+    """The words with content[i] letters i + 1 that a permutation with these
+    cycle lengths fixes: each cycle carries one letter."""
+    if not cycles:
+        return 1
+    a = cycles[0]
+    return sum(
+        fixed_words(cycles[1:], content[:i] + (c - a,) + content[i + 1 :])
+        for i, c in enumerate(content)
+        if c >= a
+    )
+
+
+def missed_words(m: int, k: int, seeds: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
+    """The growth words of content ``balanced(m, k)`` that some x in
+    ``seeds`` fails to kill.  None means the ideal the seeds generate kills
+    every word of that content: the kernel of a module is a two-sided
+    ideal, and relabelling letters commutes with S_k."""
+    mu, perms = list(balanced(m, k)), all_permutations(k)
+    missed = []
     for u in growth_words(m, k):
         if sorted(Counter(u).values(), reverse=True) == mu:
-            fibres: dict[tuple[int, ...], dict[int, int]] = {}
-            for j, sigma in enumerate(perms):
-                fibres.setdefault(tuple(u[s - 1] for s in sigma), {})[j] = 1
-            for row in fibres.values():
-                span.insert(row)
-    return factorial(k) - span.dimension
-
-
-def unkilled_words(m: int, k: int, rows: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
-    """The sorted words 1^nu_1 2^nu_2 ..., one for each partition nu of k
-    into at most m parts, that some x in ``rows`` fails to kill.
-
-    If ``rows`` span a two-sided ideal I of F S_k, none means I <= ann_k:
-    x in I acting on u o tau is a product of x and tau, again in I, acting
-    on u, and relabelling letters commutes with S_k, so the sorted word of
-    each partition stands for every word in {1..m}^k.
-    """
-    perms = all_permutations(k)
-    unkilled = []
-    for nu in [nu for nu in partitions_of(k) if len(nu) <= m]:
-        u = tuple(a for a, c in enumerate(nu, start=1) for _ in range(c))
-        ids: dict[tuple[int, ...], int] = {}
-        word = [ids.setdefault(tuple(u[s - 1] for s in sigma), len(ids)) for sigma in perms]
-        for x in rows:
-            out = [0] * len(ids)
-            for j, c in x.items():
-                out[word[j]] += c
-            if any(out):
-                unkilled.append(u)
-                break
-    return unkilled
+            for x in seeds:
+                out: Counter = Counter()
+                for j, c in x.items():
+                    out[tuple(u[s - 1] for s in perms[j])] += c
+                if any(out.values()):
+                    missed.append(u)
+                    break
+    return missed
 
 
 @lru_cache(maxsize=None)

@@ -40,12 +40,13 @@ from .diagrams import (
 )
 from .groupoid import (
     basis_change_failures,
+    characters,
+    content_character,
     ideal_of_blocks,
-    level_annihilator,
     level_blocks,
-    level_ideal,
     level_product,
-    unkilled_words,
+    missed_words,
+    tensor_character,
 )
 from .linalg import SpanBasis, apply_map
 from .reporting import assertion, report
@@ -395,39 +396,60 @@ def check_annihilator_ideal(
 
     Ideal side: in a product of matrix algebras over unital rings, the
     ideal Y generates is the sum over k of M(I_k), I_k the ideal of F S_k
-    generated by the entries of Y's level-k block.
+    generated by the entries of Y's level-k block, whose echelon rows are
+    the seeds.
 
-    So the claim holds exactly when I_k = ann_k for every k <= n, and a
-    sandwich decides it.  I_k is a two-sided ideal, so I_k <= ann_k when its
-    echelon rows kill the sorted word of each partition of k into at most m
-    parts (``unkilled_words``).  Let mu be the balanced partition of k into
-    min(m, k) parts and K_mu the kernel of F S_k on the words of content mu
-    (``level_annihilator``); those words lie in V^(x)k, so ann_k <= K_mu.
-    Then dim I_k = dim K_mu forces I_k = ann_k = K_mu.  (Young's rule says
-    why it closes: every shape with at most m rows dominates mu, so
-    K_mu = ann_k; James, LNM 682, 1978, section 14.  The certificate does
-    not rely on it.)  The witnesses give dim K_mu as the annihilator's
-    dimension, which the passing check makes exact.  Totals weigh level k
-    by C(n,k)^2 and are compared with the Specht-module count of shapes
-    with more than m rows.
+    So the claim holds exactly when I_k = ann_k for every k <= n.  By
+    ``characters(k)`` both are sums of blocks End(W_lambda), and a kernel
+    is the sum over the shapes its module lacks.  Let K_mu be the kernel on
+    the words of content mu = ``balanced(m, k)``, and U_mu, U the supports
+    of those words and of V^(x)k; U = U_mu makes K_mu = ann_k (Young's rule
+    says why, James, LNM 682, 1978, section 14; the check does not rely on
+    it).  I_k <= K_mu when the seeds kill the growth words of content mu
+    (``missed_words``), and K_mu <= I_k when each lambda outside U_mu has a
+    seed x of nonzero trace sum x_sigma chi_lambda(sigma), so that
+    rho_lambda(x) != 0; a zero trace can only fail the check.  The
+    witnesses give dim K_mu as the annihilator's dimension and the shapes
+    the seeds reach as the ideal's; totals weigh level k by C(n,k)^2 and
+    are compared with the Specht count of shapes with more than m rows.
     """
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     check_level_cap(m, n, max_cells)
     certificate = _certificate_assertion(n)
     blocks = level_blocks(top_antisymmetrizer(m + 1, n))
-    alive, ann_dims, ideal_dims = [], [], []
+    alive, ann_dims, ideal_dims, uncertified, unequal = [], [], [], [], []
     for k, block in enumerate(blocks):
-        ann_dims.append(level_annihilator(m, k))
-        ideal = level_ideal(k, block.values())
-        alive += [{"level": k, "word": list(u)} for u in unkilled_words(m, k, ideal.int_rows())]
-        ideal_dims.append(ideal.dimension)
+        chars = characters(k)
+        outside = chars.table.keys() - chars.support(content_character(m, k))
+        if chars.support(tensor_character(m, k)) != chars.table.keys() - outside:
+            unequal.append(k)
+        if not chars.certified:
+            uncertified.append(k)
+        span = SpanBasis(factorial(k))
+        for x in block.values():
+            span.insert(x)
+        seeds = span.int_rows()
+        alive += [{"level": k, "word": list(u)} for u in missed_words(m, k, seeds)]
+        reached = {
+            shape
+            for shape, chi in chars.table.items()
+            if any(sum(c * chi[chars.class_of[j]] for j, c in x.items()) for x in seeds)
+        }
+        ann_dims.append(sum(int(chars.table[s][-1]) ** 2 for s in outside))
+        ideal_dims.append(sum(int(chars.table[s][-1]) ** 2 for s in reached))
     annihilator = sum(comb(n, k) ** 2 * d for k, d in enumerate(ann_dims))
     ideal_dim = sum(comb(n, k) ** 2 * d for k, d in enumerate(ideal_dims))
     expected_dim = annihilator_dimension_formula(m, n)
     fills = ideal_dims == ann_dims
+    decided = not uncertified and not unequal
     assertions = [
         certificate,
+        assertion(
+            "Specht characters decide every level",
+            decided,
+            {"uncertified": uncertified, "supports_differ": unequal},
+        ),
         assertion("ideal acts as zero on the tensor power", not alive, alive[:5] or None),
         assertion(
             "annihilator dimension matches the Specht count",
@@ -445,7 +467,8 @@ def check_annihilator_ideal(
             },
         ),
         assertion(
-            "annihilator equals the ideal as subspaces", certificate["pass"] and not alive and fills
+            "annihilator equals the ideal as subspaces",
+            certificate["pass"] and decided and not alive and fills,
         ),
     ]
     return report(

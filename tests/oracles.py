@@ -7,7 +7,10 @@ routines under test.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections import Counter
+from functools import lru_cache
+from math import factorial
+from typing import Iterator, Mapping, Sequence
 
 from rookmonoid.algebra import AlgebraElement, element_coordinates, top_antisymmetrizer
 from rookmonoid.diagrams import (
@@ -24,11 +27,12 @@ from rookmonoid.diagrams import (
     perm_length,
     star,
 )
-from rookmonoid.groupoid import growth_words
+from rookmonoid.groupoid import growth_words, level_blocks, level_ideal
 from rookmonoid.ideals import IdealSpan
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space, saturate
 from rookmonoid.specht import (
     Tableau,
+    partitions_of,
     Tabloid,
     all_tableaux,
     all_tabloids,
@@ -80,8 +84,8 @@ def kills_every_growth_word(m: int, k: int, x: dict[int, int]) -> bool:
     """Whether x in F S_k, in the coordinates of ``all_permutations(k)``,
     kills V^(x)k with dim V = m: x applied to each growth word u, one per
     relabelling orbit of letters, sums its coefficients over each output
-    word u o sigma.  The reference for ``groupoid.unkilled_words``, which
-    reads one sorted word per content off the ideal instead."""
+    word u o sigma.  The reference for ``unkilled_words``, which reads one
+    sorted word per content off the ideal instead."""
     perms = all_permutations(k)
     for u in growth_words(m, k):
         out: dict = {}
@@ -258,3 +262,70 @@ def specht_basis_by_polytabloids(shape: tuple[int, ...], n: int) -> SpanBasis:
     for t in all_tableaux(shape, n):
         basis.insert(vector_coordinates(polytabloid(t), shape, n))
     return basis
+
+
+@lru_cache(maxsize=None)
+def level_annihilator(m: int, k: int) -> int:
+    """dim K_mu, the kernel of F S_k on the words in {1..m}^k of content mu,
+    the balanced partition of k into min(m, k) parts, by elimination.
+
+    Those words lie in V^(x)k with dim V = m, so K_mu contains ann_k; for
+    m = 0 and k >= 1 there are none, and K_mu is all of F S_k.  Relabelling
+    letters keeps the content and commutes with S_k, so the growth words of
+    content mu decide K_mu: x kills u when it sums to 0 on each fibre
+    {sigma : u o sigma = w}, so dim K_mu is k! minus the rank of the
+    fibres' indicator rows.  The reference for the character supports of
+    ``ideals.check_annihilator_ideal``.  Cached.
+    """
+    p = min(m, k)
+    mu = [len(range(i, k, p)) for i in range(p)]
+    perms = all_permutations(k)
+    span = SpanBasis(factorial(k))
+    for u in growth_words(m, k):
+        if sorted(Counter(u).values(), reverse=True) == mu:
+            fibres: dict[tuple[int, ...], dict[int, int]] = {}
+            for j, sigma in enumerate(perms):
+                fibres.setdefault(tuple(u[s - 1] for s in sigma), {})[j] = 1
+            for row in fibres.values():
+                span.insert(row)
+    return factorial(k) - span.dimension
+
+
+def unkilled_words(m: int, k: int, rows: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
+    """The sorted words 1^nu_1 2^nu_2 ..., one for each partition nu of k
+    into at most m parts, that some x in ``rows`` fails to kill.
+
+    If ``rows`` span a two-sided ideal I of F S_k, none means I <= ann_k:
+    x in I acting on u o tau is a product of x and tau, again in I, acting
+    on u, and relabelling letters commutes with S_k, so the sorted word of
+    each partition stands for every word in {1..m}^k.
+    """
+    perms = all_permutations(k)
+    unkilled = []
+    for nu in [nu for nu in partitions_of(k) if len(nu) <= m]:
+        u = tuple(a for a, c in enumerate(nu, start=1) for _ in range(c))
+        ids: dict[tuple[int, ...], int] = {}
+        word = [ids.setdefault(tuple(u[s - 1] for s in sigma), len(ids)) for sigma in perms]
+        for x in rows:
+            out = [0] * len(ids)
+            for j, c in x.items():
+                out[word[j]] += c
+            if any(out):
+                unkilled.append(u)
+                break
+    return unkilled
+
+
+def annihilator_by_echelon_levels(m: int, n: int) -> tuple[list[int], list[int], list[dict]]:
+    """Per level k, dim K_mu (``level_annihilator``) and dim I_k, I_k the
+    saturation of Y's level-k entries (``groupoid.level_ideal``), and the
+    sorted words I_k fails to kill (``unkilled_words``): the two k!-column
+    echelon forms the character supports replaced, kept to compare with them
+    level by level."""
+    ann, ideal, alive = [], [], []
+    for k, block in enumerate(level_blocks(top_antisymmetrizer(m + 1, n))):
+        rows = level_ideal(k, block.values())
+        ann.append(level_annihilator(m, k))
+        ideal.append(rows.dimension)
+        alive += [{"level": k, "word": list(u)} for u in unkilled_words(m, k, rows.int_rows())]
+    return ann, ideal, alive

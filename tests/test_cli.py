@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter, deque
+from math import factorial
 
 import pytest
 
@@ -12,19 +13,21 @@ from rookmonoid.caps import (
     DEFAULT_MAX_CELLS,
     SizeCapError,
     block_entries,
+    check_absorption_cap,
     check_block_cap,
     check_level_cap,
+    check_orthogonality_cap,
     check_quasi_idempotent_cap,
     check_specht_cap,
     check_symmetrizer_cap,
     level_work,
     quasi_idempotent_pairs,
 )
-from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent, top_antisymmetrizer
-from rookmonoid import groupoid, linalg, verify
+from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
+from rookmonoid import groupoid, ideals, linalg, specht, verify
 from rookmonoid.cli import main
 from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators
-from rookmonoid.ideals import block_ideal
+from rookmonoid.ideals import block_ideal, check_annihilator_ideal
 from rookmonoid.linalg import SpanBasis
 from rookmonoid.reporting import assertion, report
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau, specht_basis
@@ -206,23 +209,26 @@ def test_cap_counts_phi_entries(m, n, capsys):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_level_guard_admits_n6(m):
     # every m < 6 passes the default cap at n = 6; not run, only guarded
-    assert level_work(m, 6) <= DEFAULT_MAX_CELLS
+    assert level_work(6) == 3 * 13_327 + 720 * 64 + 2 * 20_175 <= DEFAULT_MAX_CELLS
     check_level_cap(m, 6, DEFAULT_MAX_CELLS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_level_guard_admits_n7(m):
-    # 7.53M-8.09M entries pass the default cap at n = 7; not run, only guarded
-    assert level_work(m, 7) <= DEFAULT_MAX_CELLS
+    # 1.40M entries pass the default cap at n = 7, and 18.1M at n = 8 do not;
+    # not run, only guarded
+    assert level_work(7) == 3 * 130_922 + 5040 * 128 + 2 * 179_562 <= DEFAULT_MAX_CELLS
     check_level_cap(m, 7, DEFAULT_MAX_CELLS)
+    assert level_work(8) == 3 * 1_441_729 + 40_320 * 256 + 2 * 1_749_482 > DEFAULT_MAX_CELLS
 
 
 def test_level_bound_covers_stored_entries(monkeypatch):
-    # the certificate's index maps and its floors of the largest domain, and
-    # per level the larger of the kernel's echelon span and the ideal's with
-    # its saturation queue at its fullest (the kernel's span is dropped
-    # before the ideal's is built), all counted as if held at once
-    spans, queues = [], []
+    # the certificate's index maps and its floors of the largest domain, the
+    # echelon rows of every span the check builds (the Specht modules at n
+    # and at each k <= n, and each level's seeds), and the largest set of
+    # Specht swap maps with its saturation queue at its fullest, all counted
+    # as if held at once; the caches start empty, so every module is built
+    spans, queues, maps = [], [], []
 
     class Span(SpanBasis):
         def __init__(self, dim):
@@ -239,24 +245,80 @@ def test_level_bound_covers_stored_entries(monkeypatch):
             super().append(vec)
             self.peak = max(self.peak, sum(map(len, self)))
 
-    monkeypatch.setattr(groupoid, "SpanBasis", Span)
-    monkeypatch.setattr(linalg, "SpanBasis", Span)
+    swap_maps = specht._swap_maps
+
+    def counted_maps(shape, n):
+        out = swap_maps(shape, n)
+        maps.append(sum(map(len, out)))
+        return out
+
+    for module in (ideals, linalg, specht):
+        monkeypatch.setattr(module, "SpanBasis", Span)
     monkeypatch.setattr(linalg, "deque", Queue)
+    monkeypatch.setattr(specht, "_swap_maps", counted_maps)
     for n in range(1, 6):
         floors = Counter()
         for d in all_diagrams(n):
             floors[tuple(map(bool, d))] += len(groupoid.sweep({d: 1}, -1))
         fixed = len(three_generators(n)) * monoid_order(n) + max(floors.values())
         for m in range(n):
-            spans.clear()
-            queues.clear()
-            for k, block in enumerate(groupoid.level_blocks(top_antisymmetrizer(m + 1, n))):
-                groupoid.level_annihilator.__wrapped__(m, k)
-                groupoid.level_ideal(k, block.values())
-            assert len(spans) == 2 * (n + 1) and len(queues) == n + 1
-            sizes = [sum(map(len, span.int_rows())) for span in spans]
-            held = [max(a, b + q.peak) for a, b, q in zip(sizes[::2], sizes[1::2], queues)]
-            assert fixed + sum(held) <= level_work(m, n), (m, n)
+            for cache in (groupoid.characters, specht.specht_basis, specht.specht_dimension):
+                cache.cache_clear()
+            spans.clear(), queues.clear(), maps.clear()
+            assert check_annihilator_ideal(m, n)["pass"]
+            assert len(maps) == len(queues) > 0
+            held = sum(sum(map(len, span.int_rows())) for span in spans)
+            held += max(a + q.peak for a, q in zip(maps, queues))
+            assert fixed + held <= level_work(n), (m, n)
+    for cache in (groupoid.characters, specht.specht_basis, specht.specht_dimension):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "99"],
+    ["symmetrizer", "--n", "99"],
+    ["e-element", "--n", "99", "--lambda", "99"],
+    ["specht-dims", "--n", "99"],
+    ["verify-blocks", "--n", "99"],
+    ["verify-lemma-3-10", "--n", "99"],
+    ["verify-schur-weyl", "--n", "99", "--m", "1"],
+    ["verify-lemma-4-4", "--n", "99", "--m", "1"],
+    ["verify-lemma-4-4", "--n", "99", "--m", "97"],
+    ["verify-all", "--n", "99", "--m", "1"],
+])
+def test_every_guarded_command_refuses_n99_at_once(argv, capsys):
+    started = time.monotonic()
+    code = main(argv)
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refusing" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["verify-lemma-3-10", "--n", "6"], "tableau-tabloid pairs at n=6 = 61279545"),
+    (["verify-lemma-4-4", "--n", "6", "--m", "3"], "absorption term pairs at m=3, n=6 = 10376822"),
+])
+def test_lemma_guards_refuse_what_they_count(argv, quantity, capsys):
+    # n = 5 and (2, 6) pass; the absorption count at (3, 6) is whole, since
+    # its last shape is the one that takes it past the cap
+    assert main(argv) == 3
+    assert quantity in capsys.readouterr().err
+    check_orthogonality_cap(5)
+    check_absorption_cap(2, 6)
+    assert main(["verify-lemma-4-4", "--n", "3", "--m", "1"]) == 0
+    # the guard visits every shape with more than m rows: one pair short of
+    # the whole count, it refuses on the last shape with the whole count
+    for n in range(1, 7):
+        for m in range(n):
+            tall = [s for s in all_shapes(n) if len(s) > m]
+            total = sum(quasi_idempotent_pairs(s, n, factorial(m + 2)) for s in tall)
+            check_absorption_cap(m, n, total)
+            with pytest.raises(SizeCapError) as exc:
+                check_absorption_cap(m, n, total - 1)
+            assert exc.value.value == total, (m, n)
 
 
 def test_specht_dims_refuses_n9(capsys):

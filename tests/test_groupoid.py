@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,6 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.caps import balanced_word_count
 from rookmonoid.diagrams import (
     all_diagrams,
     identity,
@@ -24,26 +24,29 @@ from rookmonoid.diagrams import (
     three_generators,
 )
 from rookmonoid.groupoid import (
+    balanced,
     basis_change_failures,
     growth_words,
-    level_annihilator,
     level_blocks,
     level_ideal,
     level_product,
+    missed_words,
     relabel,
     sweep,
-    unkilled_words,
 )
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal, two_sided_ideal
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
 from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
 
+import oracles
 from oracles import (
     annihilator_by_phi_kernel,
     kills_every_growth_word,
+    level_annihilator,
     restrictions,
     two_sided_ideal_by_saturation,
+    unkilled_words,
 )
 
 
@@ -168,21 +171,22 @@ def test_level_annihilator_reads_the_balanced_words_only(m, k, words, monkeypatc
             inserted.append(len(vec))
             return super().insert(vec)
 
-    monkeypatch.setattr(groupoid, "SpanBasis", Counting)
-    groupoid.level_annihilator.__wrapped__(m, k)
+    monkeypatch.setattr(oracles, "SpanBasis", Counting)
+    oracles.level_annihilator.__wrapped__(m, k)
     assert sum(inserted) == words * factorial(k)
 
 
-def test_level_guard_counts_the_growth_words():
-    # the growth words whose sorted letter counts form the balanced partition
+def test_missed_words_reads_the_balanced_growth_words():
+    # the identity kills no word, so every growth word whose sorted letter
+    # counts form mu is missed, and no other; there are
+    # k! / (prod mu_i! prod_j mult_j(mu)!) of them, none when m = 0 < k
     for m in range(7):
         for k in range(8):
-            p = min(m, k)
-            mu = [len(range(i, k, p)) for i in range(p)]
-            balanced = [
-                u for u in growth_words(m, k) if sorted(Counter(u).values(), reverse=True) == mu
-            ]
-            assert balanced_word_count(m, k) == len(balanced), (m, k)
+            mu = balanced(m, k)
+            words = [u for u in growth_words(m, k) if sorted(Counter(u).values(), reverse=True) == list(mu)]
+            assert missed_words(m, k, [{0: 1}]) == words, (m, k)
+            count = factorial(k) // math.prod(map(factorial, [*mu, *Counter(mu).values()]))
+            assert len(words) == (0 if m == 0 < k else count), (m, k)
 
 
 def _level_verdicts(m, blocks):
@@ -341,15 +345,19 @@ def test_a_wrong_block_entry_of_the_right_dimension_fails_containment(monkeypatc
 
 
 def test_a_kernel_larger_than_the_annihilator_fails_to_be_filled(monkeypatch):
-    # the kernel on the one word of content (k) holds ann_k and more when m > 1
-    original = groupoid.level_annihilator
-    monkeypatch.setattr(ideals, "level_annihilator", lambda m, k: original(1, k))
+    # the kernel on the one word of content (k) holds ann_k and more when
+    # m > 1: its support is the trivial shape alone, not the tensor power's
+    original = groupoid.content_character
+    monkeypatch.setattr(ideals, "content_character", lambda m, k: original(1, k))
     rep = check_annihilator_ideal(2, 3)
     assert _failed(rep) == {
+        "Specht characters decide every level",
         "annihilator dimension matches the Specht count",
         "ideal fills the annihilator",
         "annihilator equals the ideal as subspaces",
     }
+    witness = _assertion(rep, "Specht characters decide every level")["witness"]
+    assert witness == {"uncertified": [], "supports_differ": [2, 3]}
     fills = _assertion(rep, "ideal fills the annihilator")["witness"]
     assert fills["ideal_by_level"] == [0, 0, 0, 1]
     assert fills["annihilator_by_level"] == [0, 0, 1, 5]

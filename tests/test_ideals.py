@@ -203,8 +203,9 @@ def test_annihilator_ideal_report_names_every_claim():
     rep = check_annihilator_ideal(1, 2)
     assert rep["pass"], rep
     names = [a["name"] for a in rep["assertions"]]
-    assert len(names) == 5
-    assert len(set(names)) == 5
+    assert len(names) == 6
+    assert len(set(names)) == 6
+    assert "Specht characters decide every level" in names
 
 
 def test_annihilator_ideal_report_small_cases():
