@@ -14,7 +14,9 @@ check that does not run level by level.  Also times the refusals at (1, 8)
 and (2, 8), ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at
 n = 9, and the quasi-idempotent products and block ideals:
 ``verify-blocks`` at n = 4 and 5 and its refusal at n = 6,
-``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``.
+``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``,
+and ``verify-lemma-3-10`` at n = 4 and 5 and its refusal at n = 6, each
+in the second checkout too.
 Then the groupoid basis-change certificate alone
 (``basis_change_failures``) at n = 5, 6 and 7, with its own time and the
 interpreter's peak resident memory, in the second checkout too.  Last, the
@@ -49,7 +51,11 @@ PRODUCTS = [  # (argv, expected exit code)
     (["verify-blocks", "--n", "6"], 3),
     (["e-element", "--n", "6", "--lambda", "6"], 0),
     (["e-element", "--n", "8", "--lambda", "8"], 3),
+    (["verify-lemma-3-10", "--n", "4"], 0),
+    (["verify-lemma-3-10", "--n", "5"], 0),
+    (["verify-lemma-3-10", "--n", "6"], 3),
 ]
+VERIFIERS = ("verify-blocks", "verify-lemma-3-10")  # print a report with a pass flag
 CERTIFICATE_N = [5, 6, 7]
 CHARACTERS_K = range(9)
 
@@ -139,6 +145,21 @@ def certificate_run(n: int, root: Path, script: str = CERTIFICATE, key: str = "n
     return entry
 
 
+def product_run(argv: list[str], root: Path) -> dict:
+    """One product or verifier command in a fresh interpreter: its wall
+    time, peak memory, exit code, and its pass flag or term count."""
+    wall, proc = run_argv(["-m", "rookmonoid", *argv], root)
+    entry = {"wall_s": round(wall, 2), "peak_rss_mb": proc.peak_rss_mb,
+             "exit_code": proc.returncode}
+    if argv[0] in VERIFIERS and proc.returncode in (0, 1):
+        entry["pass"] = json.loads(proc.stdout)["pass"]
+    elif proc.returncode == 0:
+        entry["terms"] = len(json.loads(proc.stdout)["terms"])
+    else:
+        entry["stderr"] = proc.stderr.strip()
+    return entry
+
+
 def main(out: str, parent: Path | None = None) -> int:
     cases = []
     for m, n in CASES:
@@ -174,15 +195,9 @@ def main(out: str, parent: Path | None = None) -> int:
         print(json.dumps(entry), file=sys.stderr)
     products = []
     for argv, expected in PRODUCTS:
-        wall, proc = run_argv(["-m", "rookmonoid", *argv])
-        entry = {"argv": argv, "wall_s": round(wall, 2), "exit_code": proc.returncode,
-                 "expected_exit_code": expected}
-        if argv[0] == "verify-blocks" and proc.returncode in (0, 1):
-            entry["pass"] = json.loads(proc.stdout)["pass"]
-        elif proc.returncode == 0:
-            entry["terms"] = len(json.loads(proc.stdout)["terms"])
-        else:
-            entry["stderr"] = proc.stderr.strip()
+        entry = {"argv": argv, **product_run(argv, ROOT), "expected_exit_code": expected}
+        if parent:
+            entry["parent"] = product_run(argv, parent)
         products.append(entry)
         print(json.dumps(entry), file=sys.stderr)
     certificate = []
@@ -216,7 +231,8 @@ def main(out: str, parent: Path | None = None) -> int:
         all(c["exit_code"] == 0 and c.get("parent", c)["exit_code"] == 0 for c in cases)
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
-        and all(p["exit_code"] == p["expected_exit_code"] for p in products)
+        and all(p["exit_code"] == p.get("parent", p)["exit_code"] == p["expected_exit_code"]
+                for p in products)
         and all(c.get("certified") and c.get("parent", c).get("certified") for c in certificate)
         and all(c.get("certified") for c in characters)
     )

@@ -5,7 +5,8 @@ product builds one ``diagrams.gather`` per left term and one padded tuple
 per right term, so each of its term pairs costs one C-level gather.  The
 module also builds the distinguished elements the structure theory runs on:
 full symmetrizers and antisymmetrizers over a chosen vertex subset, the
-all-deleting projector, and the quasi-idempotent attached to a tableau.
+all-deleting projector, and the quasi-idempotent attached to a tableau,
+expanded or as a list of small factors.
 All of these have integer coefficients, so they are built, and multiply,
 over Python ints; ``Fraction`` coefficients enter only when a caller passes
 a non-integer.
@@ -175,6 +176,15 @@ def _subset_labels(subset, n: int) -> tuple[int, ...]:
     return labels
 
 
+def _permutation_terms(labels: tuple[int, ...], n: int, *, signed: bool) -> dict[Diagram, int]:
+    """The permutations of ``labels`` transported into size n, each with
+    coefficient 1, or with its sign (computed on {1..k}) when ``signed``."""
+    return {
+        _embed(w, labels, n): perm_sign(w) if signed else 1
+        for w in all_permutations(len(labels))
+    }
+
+
 def symmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     """Alternating-rank sum over the sub-rook-monoid on ``subset``.
 
@@ -185,9 +195,7 @@ def symmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     """
     labels = _subset_labels(subset, n)
     k = len(labels)
-    terms: dict[Diagram, int] = {}
-    for w in all_permutations(k):
-        terms[_embed(w, labels, n)] = 1
+    terms = _permutation_terms(labels, n, signed=False)
     for r in range(1, k + 1):
         coeff = (-1) ** r * math.factorial(r)
         for small in rank_class(k, r):
@@ -203,9 +211,7 @@ def antisymmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     deletions as 0.  Signs are computed on {1..k} before transport."""
     labels = _subset_labels(subset, n)
     k = len(labels)
-    terms: dict[Diagram, int] = {}
-    for w in all_permutations(k):
-        terms[_embed(w, labels, n)] = perm_sign(w)
+    terms = _permutation_terms(labels, n, signed=True)
     for small in rank_class(k, 1):
         terms[_embed(small, labels, n)] = diagram_sign(small)
     out = AlgebraElement(n)
@@ -240,6 +246,61 @@ def tableau_quasi_idempotent(t: specht.Tableau) -> AlgebraElement:
         if i not in content:
             out = out * AlgebraElement.from_diagram(generator(n, "p", i))
     return out
+
+
+def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
+    """Factors of ``tableau_quasi_idempotent(t)`` in product order: for each
+    column C the signed permutation sum over C and then 1 - sum_{i in C} p_i,
+    for each row R the permutation sum over R and then 1 - p_i for each i in
+    R, and last p_i for each vertex missing from the content.  A permutation
+    sum over one vertex is the identity and is left out.  Over k vertices a
+    permutation sum has k! terms and a deletion factor at most k + 1, where
+    the row symmetrizer alone has |R_k|.
+
+    Their product is e_t because, for a subset of k vertices,
+
+        symmetrizer(R)     = (sum_{pi in S_R} pi) prod_{i in R} (1 - p_i),
+        antisymmetrizer(C) = (sum_{pi in S_C} sgn(pi) pi) (1 - sum_{i in C} p_i).
+
+    Write id_B for the identity on B that deletes the rest of the subset.
+    With (d1 d2)[a] = d2[d1[a]], pi id_B is pi cut down to the vertices it
+    sends into B, so its range is B.  The product over R expands to
+    sum_B (-1)^(k - |B|) id_B, and a partial injection on R with r deleted
+    vertices and range B equals pi id_B for exactly r! permutations pi (the
+    r vertices outside its domain go onto R minus B in any order): the
+    symmetrizer's coefficient (-1)^r r!.  Over C the deletion factor gives
+    -pi id_(C - i), a map with one deleted vertex, and such a map has
+    exactly one extension to a permutation, pi itself; the antisymmetrizer
+    gives it ``diagram_sign``, the negative of that extension's sign.
+
+    On a tabloid T the deletion factors filter or scale: 1 - p_i keeps T
+    when i is in T's content and kills it otherwise, and
+    1 - sum_{i in C} p_i multiplies T by one minus the number of vertices
+    of C missing from its content.
+    """
+    n = t.n
+    one = identity(n)
+
+    def permutation_sum(subset, signed: bool) -> list[AlgebraElement]:
+        if len(subset) < 2:
+            return []
+        labels = _subset_labels(subset, n)
+        return [AlgebraElement(n, _permutation_terms(labels, n, signed=signed))]
+
+    factors = []
+    for col in specht.column_sets(t):
+        factors += permutation_sum(col, True)
+        factors.append(AlgebraElement(n, {one: 1, **{generator(n, "p", i): -1 for i in col}}))
+    for row in t.rows:
+        factors += permutation_sum(row, False)
+        factors += [AlgebraElement(n, {one: 1, generator(n, "p", i): -1}) for i in row]
+    content = t.content
+    factors += [
+        AlgebraElement.from_diagram(generator(n, "p", i))
+        for i in range(1, n + 1)
+        if i not in content
+    ]
+    return factors
 
 
 def element_coordinates(a: AlgebraElement) -> dict[int, Coeff]:

@@ -136,8 +136,8 @@ def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
 def check_orthogonality_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     """Refuse ``check_specht_orthogonality`` when the tableaux it lists,
     C(n,r) r! per shape of r boxes, times the tabloids its Specht bases run
-    over exceed ``max_cells``.  The monoid order goes first, as shape (n)
-    has a row symmetrizer of |R_n| terms, so an absurd n lists no shape."""
+    over exceed ``max_cells``.  The monoid order goes first only so that an
+    absurd n is refused before its shapes are listed."""
     check_order_cap(n, max_cells)
     tableaux = sum(comb(n, sum(s)) * factorial(sum(s)) for s in all_shapes(n))
     check_cap(f"tableau-tabloid pairs at n={n}", tableaux * tabloid_count(n), max_cells)

@@ -26,6 +26,7 @@ from .algebra import (
     element_coordinates,
     element_from_coordinates,
     full_projector,
+    quasi_idempotent_factors,
     symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
@@ -266,6 +267,17 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     )
 
 
+def _act_by_factors(factors, vec: dict) -> dict:
+    """Apply the element whose factors (in product order) have the
+    ``partner_terms`` in ``factors`` to a tabloid vector, right factor
+    first, stopping at the first zero vector."""
+    for terms in reversed(factors):
+        if not vec:
+            break
+        vec = specht.act_on_tabloid_vector(terms, vec)
+    return vec
+
+
 def check_specht_orthogonality(
     n: int, *, seed: int = DEFAULT_SEED, sample_tableaux: int = 12
 ) -> dict:
@@ -273,9 +285,15 @@ def check_specht_orthogonality(
     shape and acts nontrivially on its own shape.
 
     Each quasi-idempotent acts on the echelon basis of each Specht module,
-    which it kills exactly when it kills the module.  A shape's tableaux are
-    sampled (seeded) only when it has more than ``sample_tableaux`` of them.
+    which it kills exactly when it kills the module.  It acts one factor of
+    ``quasi_idempotent_factors`` at a time, right factor first: permutation
+    sums over a row or column, and deletion factors that only filter or
+    scale a tabloid, never the expanded e_t with its |R_k|-term row
+    symmetrizers.  A shape's tableaux are sampled (seeded) only when it has
+    more than ``sample_tableaux`` of them, which must be at least 1.
     """
+    if sample_tableaux < 1:
+        raise ValueError(f"need sample_tableaux >= 1, got {sample_tableaux}")
     shapes = specht.all_shapes(n)
     rng = random.Random(seed)
     bases = {}
@@ -285,6 +303,10 @@ def check_specht_orthogonality(
             {tabloids[i]: c for i, c in row.items()}
             for row in specht.specht_basis(shape, n).int_rows()
         ]
+
+    def factors(t: specht.Tableau) -> list:
+        return [specht.partner_terms(f) for f in quasi_idempotent_factors(t)]
+
     assertions = []
     for shape in shapes:
         tableaux = list(specht.all_tableaux(shape, n))
@@ -292,10 +314,10 @@ def check_specht_orthogonality(
             tableaux = rng.sample(tableaux, sample_tableaux)
         bad = []
         for t in tableaux:
-            e_t = specht.partner_terms(tableau_quasi_idempotent(t))
+            e_t = factors(t)
             for other in shapes:
                 if other != shape and any(
-                    specht.act_on_tabloid_vector(e_t, vec) for vec in bases[other]
+                    _act_by_factors(e_t, vec) for vec in bases[other]
                 ):
                     bad.append(
                         {
@@ -311,12 +333,8 @@ def check_specht_orthogonality(
                 bad[:3] if bad else {"tableaux_checked": len(tableaux)},
             )
         )
-        e_canon = specht.partner_terms(
-            tableau_quasi_idempotent(specht.row_filled_tableau(shape, n))
-        )
-        survives = any(
-            specht.act_on_tabloid_vector(e_canon, vec) for vec in bases[shape]
-        )
+        e_canon = factors(specht.row_filled_tableau(shape, n))
+        survives = any(_act_by_factors(e_canon, vec) for vec in bases[shape])
         assertions.append(
             assertion(f"shape ({label}) is not killed by its own quasi-idempotent", survives)
         )

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from rookmonoid.algebra import (
     element_coordinates,
     element_from_coordinates,
     full_projector,
+    quasi_idempotent_factors,
     symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
@@ -21,7 +23,13 @@ from rookmonoid.diagrams import (
     multiply,
     rank,
 )
-from rookmonoid.specht import Tableau, all_shapes, column_filled_tableau, row_filled_tableau
+from rookmonoid.specht import (
+    Tableau,
+    all_shapes,
+    all_tableaux,
+    column_filled_tableau,
+    row_filled_tableau,
+)
 
 from oracles import brute_sign, element_star, product_by_terms, transposition
 
@@ -209,6 +217,62 @@ def test_quasi_idempotent_column_shape_is_quasi_idempotent_n2():
     c = ee.terms.get(d0, Fraction(0)) / e.terms[d0]
     assert c != 0
     assert ee == e.scale(c)
+
+
+def _permutation_sum(subset, n, *, signed):
+    # each permutation of the subset, identity elsewhere, signed by its
+    # inversions; built without the algebra module's transport
+    terms = {}
+    for image in itertools.permutations(subset):
+        d = list(identity(n))
+        for a, b in zip(subset, image):
+            d[a - 1] = b
+        inversions = sum(1 for x, y in itertools.combinations(image, 2) if x > y)
+        terms[tuple(d)] = (-1) ** inversions if signed else 1
+    return AlgebraElement(n, terms)
+
+
+def _deletion(n, i):
+    return AlgebraElement.from_diagram(generator(n, "p", i))
+
+
+def test_symmetrizers_factor_into_permutation_sums_and_deletion_factors():
+    # symmetrizer(R) = (sum pi) prod_{i in R} (1 - p_i) and
+    # antisymmetrizer(C) = (sum sgn(pi) pi) (1 - sum_{i in C} p_i), with the
+    # factors in either order: every subset at n <= 5, the full set at k = 6
+    cases = [
+        (subset, n)
+        for n in range(1, 6)
+        for k in range(1, n + 1)
+        for subset in itertools.combinations(range(1, n + 1), k)
+    ] + [(tuple(range(1, 7)), 6)]
+    for subset, n in cases:
+        one = AlgebraElement.one(n)
+        filters = one
+        for i in subset:
+            filters = filters * (one - _deletion(n, i))
+        scale = one
+        for i in subset:
+            scale = scale - _deletion(n, i)
+        plain = _permutation_sum(subset, n, signed=False)
+        signed = _permutation_sum(subset, n, signed=True)
+        assert plain * filters == symmetrizer(subset, n) == filters * plain, subset
+        assert signed * scale == antisymmetrizer(subset, n) == scale * signed, subset
+
+
+def test_quasi_idempotent_factors_multiply_to_the_quasi_idempotent():
+    for n in range(1, 5):
+        for shape in all_shapes(n):
+            for t in all_tableaux(shape, n):
+                factors = quasi_idempotent_factors(t)
+                product = AlgebraElement.one(n)
+                for f in factors:
+                    product = product * f
+                assert product == tableau_quasi_idempotent(t), t
+                # no factor is a full symmetrizer: k! terms over a row or
+                # column of k vertices, or a deletion factor of at most n + 1
+                longest = max(shape + (len(shape),))
+                assert all(len(f.terms) <= max(factorial(longest), n + 1) for f in factors)
 
 
 def test_coordinates_roundtrip():

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from rookmonoid import ideals
 from rookmonoid.algebra import (
     AlgebraElement,
     element_coordinates,
     full_projector,
+    quasi_idempotent_factors,
     symmetrizer,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
@@ -25,6 +28,7 @@ from rookmonoid.ideals import (
     check_specht_orthogonality,
     two_sided_ideal,
 )
+from rookmonoid import specht
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
 from rookmonoid.tensor import annihilator_basis
 
@@ -174,7 +178,7 @@ def test_specht_orthogonality_catches_a_quasi_idempotent_that_kills_nothing(
     # the identity kills no nonzero vector, so every shape must fail, which
     # an empty or mis-mapped Specht basis would hide
     monkeypatch.setattr(
-        ideals, "tableau_quasi_idempotent", lambda t: AlgebraElement.one(t.n)
+        ideals, "quasi_idempotent_factors", lambda t: [AlgebraElement.one(t.n)]
     )
     rep = check_specht_orthogonality(3)
     kills = [a for a in rep["assertions"] if a["name"].endswith("kills the other shapes")]
@@ -182,6 +186,40 @@ def test_specht_orthogonality_catches_a_quasi_idempotent_that_kills_nothing(
     for a in kills:
         assert not a["pass"], a
         assert a["witness"] and all("tableau" in w for w in a["witness"])
+
+
+def test_specht_orthogonality_refuses_an_empty_sample():
+    # a sample of no tableaux would check nothing and pass
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="sample_tableaux"):
+            check_specht_orthogonality(3, sample_tableaux=bad)
+    rep = check_specht_orthogonality(3, sample_tableaux=1)
+    assert rep["pass"], rep
+
+
+def test_acting_factor_by_factor_matches_the_expanded_quasi_idempotent():
+    # every tableau at n <= 3, the row- and column-filled ones at n = 4, on
+    # every echelon row of every Specht module
+    cases = [
+        t for n in (1, 2, 3) for shape in all_shapes(n) for t in specht.all_tableaux(shape, n)
+    ] + [
+        fill(shape, 4)
+        for shape in all_shapes(4)
+        for fill in (specht.row_filled_tableau, specht.column_filled_tableau)
+    ]
+    nonzero = 0
+    for t in cases:
+        n = t.n
+        expanded = specht.partner_terms(tableau_quasi_idempotent(t))
+        factors = [specht.partner_terms(f) for f in quasi_idempotent_factors(t)]
+        for shape in all_shapes(n):
+            tabloids = specht.all_tabloids(shape, n)
+            for row in specht.specht_basis(shape, n).int_rows():
+                vec = {tabloids[i]: c for i, c in row.items()}
+                got = ideals._act_by_factors(factors, vec)
+                assert got == specht.act_on_tabloid_vector(expanded, vec), (t, shape, row)
+                nonzero += bool(got)
+    assert nonzero > 0
 
 
 def test_absorption_report():
