@@ -13,7 +13,7 @@ the Specht count (``annihilator_dimension_formula``) alone, the part of the
 check that does not run level by level.  Also times the refusals at (1, 8)
 and (2, 8), ``rookmonoid specht-dims`` at n = 6, 7 and 8 and its refusal at
 n = 9, and the quasi-idempotent products and block ideals:
-``verify-blocks`` at n = 4 and 5 and its refusal at n = 6,
+``verify-blocks`` at n = 4, 5 and 6 and its refusal at n = 7,
 ``e-element --n 6 --lambda 6`` and the refusal of ``--n 8 --lambda 8``,
 and ``verify-lemma-3-10`` at n = 4 and 5 and its refusal at n = 6, each
 in the second checkout too.
@@ -36,7 +36,6 @@ import platform
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -45,10 +44,11 @@ RAISED_CAP = 100_000_000
 CASES = [(m, n) for n in (6, 7) for m in range(1, n)] + [(1, 5), (2, 5)]
 REFUSED = [(1, 8), (2, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
-PRODUCTS = [  # (argv, expected exit code)
+PRODUCTS = [  # (argv, expected exit code; a second checkout's is recorded, not required)
     (["verify-blocks", "--n", "4"], 0),
     (["verify-blocks", "--n", "5"], 0),
-    (["verify-blocks", "--n", "6"], 3),
+    (["verify-blocks", "--n", "6"], 0),
+    (["verify-blocks", "--n", "7"], 3),
     (["e-element", "--n", "6", "--lambda", "6"], 0),
     (["e-element", "--n", "8", "--lambda", "8"], 3),
     (["verify-lemma-3-10", "--n", "4"], 0),
@@ -102,28 +102,43 @@ def run(
     return run_argv(argv, root)
 
 
+LAUNCHER = """\
+import os, signal, sys
+pid = os.fork()
+if pid == 0:
+    signal.alarm(600)
+    os.execv(sys.executable, [sys.executable, *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
 def run_argv(args: list[str], root: Path = ROOT) -> tuple[float, subprocess.CompletedProcess]:
-    """Run the interpreter on ``args`` with ``root``'s sources, killed after
-    600 s; the result's ``peak_rss_mb`` is the child's own peak memory."""
+    """Run the interpreter on ``args`` with ``root``'s sources, killed by
+    SIGALRM after 600 s; the result's ``peak_rss_mb`` is the child's own
+    peak memory.
+
+    A process's peak includes the memory of the process it was forked from,
+    kept across ``exec``, so the child is forked from ``LAUNCHER``, a bare
+    interpreter smaller than any run, and not from this script; the
+    launcher reports the child's exit code and peak on a pipe."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
     argv = [sys.executable, *args]
+    read, write = os.pipe()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
-        child = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
-        timer = threading.Timer(600, child.kill)
-        timer.start()
-        try:
-            _, status, usage = os.wait4(child.pid, 0)
-        finally:
-            timer.cancel()
+        subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCHER, str(write), *args],
+            stdout=out, stderr=err, env=env, pass_fds=(write,), check=True,
+        )
         wall = time.perf_counter() - started
-        child.returncode = os.waitstatus_to_exitcode(status)
+        os.close(write)
+        with os.fdopen(read) as report:
+            code, maxrss = map(int, report.read().split())
         out.seek(0)
         err.seek(0)
-        proc = subprocess.CompletedProcess(
-            argv, child.returncode, out.read().decode(), err.read().decode()
-        )
-    proc.peak_rss_mb = round(usage.ru_maxrss / 1024, 1)
+        proc = subprocess.CompletedProcess(argv, code, out.read().decode(), err.read().decode())
+    proc.peak_rss_mb = round(maxrss / 1024, 1)
     return wall, proc
 
 
@@ -231,8 +246,7 @@ def main(out: str, parent: Path | None = None) -> int:
         all(c["exit_code"] == 0 and c.get("parent", c)["exit_code"] == 0 for c in cases)
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
-        and all(p["exit_code"] == p.get("parent", p)["exit_code"] == p["expected_exit_code"]
-                for p in products)
+        and all(p["exit_code"] == p["expected_exit_code"] for p in products)
         and all(c.get("certified") and c.get("parent", c).get("certified") for c in certificate)
         and all(c.get("certified") for c in characters)
     )

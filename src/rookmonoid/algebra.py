@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 from . import specht
 from .diagrams import (
     Diagram,
-    all_diagrams,
     all_permutations,
     diagram_index,
     diagram_sign,
@@ -250,33 +249,30 @@ def tableau_quasi_idempotent(t: specht.Tableau) -> AlgebraElement:
 
 def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
     """Factors of ``tableau_quasi_idempotent(t)`` in product order: for each
-    column C the signed permutation sum over C and then 1 - sum_{i in C} p_i,
-    for each row R the permutation sum over R and then 1 - p_i for each i in
-    R, and last p_i for each vertex missing from the content.  A permutation
-    sum over one vertex is the identity and is left out.  Over k vertices a
-    permutation sum has k! terms and a deletion factor at most k + 1, where
-    the row symmetrizer alone has |R_k|.
+    column C the signed permutation sum A_C over C, for each row R the
+    permutation sum P_R over R and then 1 - p_i for each i in R, and last
+    p_i for each vertex missing from the content.  A permutation sum over
+    one vertex is the identity and is left out.  Over k vertices a
+    permutation sum has k! terms, where the row symmetrizer alone has |R_k|.
 
-    Their product is e_t because, for a subset of k vertices,
-
-        symmetrizer(R)     = (sum_{pi in S_R} pi) prod_{i in R} (1 - p_i),
-        antisymmetrizer(C) = (sum_{pi in S_C} sgn(pi) pi) (1 - sum_{i in C} p_i).
-
-    Write id_B for the identity on B that deletes the rest of the subset.
-    With (d1 d2)[a] = d2[d1[a]], pi id_B is pi cut down to the vertices it
-    sends into B, so its range is B.  The product over R expands to
+    Their product is e_t.  Rows: symmetrizer(R) = P_R prod_{i in R} (1 - p_i).
+    Write id_B for the identity on B that deletes the rest of R.  With
+    (d1 d2)[a] = d2[d1[a]], pi id_B is pi cut down to the vertices it sends
+    into B, so its range is B.  The product over R expands to
     sum_B (-1)^(k - |B|) id_B, and a partial injection on R with r deleted
     vertices and range B equals pi id_B for exactly r! permutations pi (the
     r vertices outside its domain go onto R minus B in any order): the
-    symmetrizer's coefficient (-1)^r r!.  Over C the deletion factor gives
-    -pi id_(C - i), a map with one deleted vertex, and such a map has
-    exactly one extension to a permutation, pi itself; the antisymmetrizer
-    gives it ``diagram_sign``, the negative of that extension's sign.
+    symmetrizer's coefficient (-1)^r r!.
 
-    On a tabloid T the deletion factors filter or scale: 1 - p_i keeps T
-    when i is in T's content and kills it otherwise, and
-    1 - sum_{i in C} p_i multiplies T by one minus the number of vertices
-    of C missing from its content.
+    Columns: antisymmetrizer(C) is A_C plus terms pi p_j, pi a permutation
+    of C and j in C (p_i pi = pi p_(pi(i))).  For j in the content, p_j
+    kills the product X of the factors of e_t right of antisymmetrizer(C):
+    it commutes past every factor that fixes j, p_j P_R = sum over pi of
+    pi p_(pi(j)) for j's row R, and p_l (1 - p_l) = 0.  So
+    antisymmetrizer(C) X = A_C X, and the columns need no deletion factor.
+
+    On a tabloid T, 1 - p_i keeps T when i is in T's content and kills it
+    otherwise, and p_i the other way round.
     """
     n = t.n
     one = identity(n)
@@ -290,7 +286,6 @@ def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
     factors = []
     for col in specht.column_sets(t):
         factors += permutation_sum(col, True)
-        factors.append(AlgebraElement(n, {one: 1, **{generator(n, "p", i): -1 for i in col}}))
     for row in t.rows:
         factors += permutation_sum(row, False)
         factors += [AlgebraElement(n, {one: 1, generator(n, "p", i): -1}) for i in row]
@@ -307,11 +302,3 @@ def element_coordinates(a: AlgebraElement) -> dict[int, Coeff]:
     """Coordinates of an element in the canonical diagram order."""
     index = diagram_index(a.n)
     return {index[d]: c for d, c in a.terms.items()}
-
-
-def element_from_coordinates(
-    n: int, coords: Mapping[int, Coeff]
-) -> AlgebraElement:
-    diags = all_diagrams(n)
-    return AlgebraElement(n, {diags[i]: c for i, c in coords.items() if c})
-

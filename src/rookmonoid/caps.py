@@ -153,13 +153,15 @@ def standard_tableaux(shape: Shape) -> int:
 
 def block_entries(n: int) -> int:
     """A bound on the entries the echelon rows of every block ideal at n
-    store.  The block of shape lambda has dimension
-    D = (C(n,|lambda|) f_lambda)^2, and each reduced echelon row of a
-    D-dimensional span in |R_n| coordinates meets only its own pivot and
-    the |R_n| - D non-pivot columns."""
-    order = monoid_order(n)
-    dims = [(comb(n, sum(shape)) * standard_tableaux(shape)) ** 2 for shape in all_shapes(n)]
-    return sum(d * (order - d + 1) for d in dims)
+    store: the block of shape lambda, r boxes, holds C(n,r)^2 copies of the
+    reduced echelon rows of an S_r ideal of dimension D = f_lambda^2
+    (``groupoid.ideal_of_blocks``), each meeting only its own pivot and the
+    r! - D non-pivot columns."""
+    total = 0
+    for shape in all_shapes(n):
+        r, d = sum(shape), standard_tableaux(shape) ** 2
+        total += comb(n, r) ** 2 * d * (factorial(r) - d + 1)
+    return total
 
 
 def check_block_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:

@@ -14,7 +14,7 @@ y = sum c_d d has coordinates  y^(t) = sum over d >= t of c_d.  (B. Steinberg,
 "Moebius functions and semigroup representation theory", J. Combin. Theory
 Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)  ``sweep`` is the one
 change between the two coordinates: the zeta transform one way, the Moebius
-transform back.
+transform back, which only the certificate runs.
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
 out the marked vector.  Its two-sided ideals are read off the characters of
@@ -22,8 +22,9 @@ the Specht modules (``characters``): which irreducibles a module of words
 contains, and which of them an element acts on (``check_annihilator_ideal``).
 
 Two-sided ideals and products of elements are read off the same levels: an
-element's ideal is built from S_k ideals (``ideal_of_blocks``), and its
-products from the blocks' matrix products (``level_product``).
+element's ideal is built from S_k ideals and held in floor coordinates
+(``ideal_of_blocks``), and its products from the blocks' matrix products
+(``level_product``).
 """
 
 from __future__ import annotations
@@ -139,15 +140,16 @@ def _perm_index(k: int) -> dict[Perm, int]:
 
 
 def level_blocks(y: AlgebraElement) -> list[Block]:
-    """The level-k blocks of y in the groupoid basis, k = 0..n.
+    """The level blocks of y: the ``floor_blocks`` of its zeta ``sweep``."""
+    return floor_blocks(y.n, sweep(y.terms, 1))
 
-    Block k maps (dom, ran) to the entry sum of y^(t) sigma_t over the t of
-    rank k with that domain and range, in the coordinates of
-    ``all_permutations(k)``; zero entries are left out.  The y^(t) are the
-    zeta ``sweep`` of y's terms.
-    """
-    hat = sweep(y.terms, 1)
-    blocks: list[Block] = [{} for _ in range(y.n + 1)]
+
+def floor_blocks(n: int, hat: Mapping[Diagram, int]) -> list[Block]:
+    """The level-k blocks of sum hat[t] floor(t), k = 0..n.  Block k maps
+    (dom, ran) to the entry sum of hat[t] sigma_t over the t of rank k with
+    that domain and range, in the coordinates of ``all_permutations(k)``;
+    ``hat`` holds no zero entries, nor do the blocks."""
+    blocks: list[Block] = [{} for _ in range(n + 1)]
     for t, c in hat.items():
         dom = tuple(a for a, b in enumerate(t, start=1) if b)
         ran = tuple(sorted(b for b in t if b))
@@ -319,7 +321,8 @@ def _level_diagram(n: int, dom: Sequence[int], ran: Sequence[int], sigma: Perm) 
 
 def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
     """The two-sided ideal of F R_n generated by an element whose level
-    blocks are ``blocks``, in diagram coordinates.
+    blocks are ``blocks``, in floor coordinates: entry i is the coefficient
+    of floor(``all_diagrams(n)[i]``).
 
     floor is an algebra isomorphism onto the sum over k of M_{C(n,k)}(F S_k)
     (``basis_change_failures`` certifies it at n).  In a product of matrix
@@ -328,24 +331,25 @@ def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
     level-k block: the unit of each factor picks out its level, and
     E(a, dom) x E(ran, b) moves the (dom, ran) entry anywhere.  So the
     ideal is spanned by floor of E(dom, ran) (x) x, that is
-    sum over sigma of x_sigma floor(t), t = ``_level_diagram(dom, ran, sigma)``
-    (the Moebius ``sweep`` of those x_sigma), over every pair of k-subsets
-    dom, ran and every echelon row x of J_k.  These are independent, so each
-    insert adds one dimension.
+    sum over sigma of x_sigma floor(t), t = ``_level_diagram(dom, ran, sigma)``,
+    over every pair of k-subsets dom, ran and every echelon row x of J_k.
+    ran is sorted, so within one (dom, ran) the t follow the order of their
+    sigma, and distinct (dom, ran) meet disjoint t: the rows arrive in
+    reduced echelon form, and no insert clears a pivot.
     """
     index = diagram_index(n)
     basis = SpanBasis(monoid_order(n))
     for k, block in enumerate(blocks):
-        rows = level_ideal(k, block.values()).int_rows()
-        if not rows:
+        if not block:
             continue
+        rows = level_ideal(k, block.values()).int_rows()
         perms = all_permutations(k)
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for dom in subsets:
             for ran in subsets:
+                cols = [index[_level_diagram(n, dom, ran, sigma)] for sigma in perms]
                 for x in rows:
-                    hat = {_level_diagram(n, dom, ran, perms[j]): c for j, c in x.items()}
-                    basis.insert({index[t]: c for t, c in sweep(hat, -1).items()})
+                    basis.insert({cols[j]: c for j, c in x.items()})
     return basis
 
 

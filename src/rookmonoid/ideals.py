@@ -1,13 +1,13 @@
 """Two-sided ideals of the monoid algebra and the structure checks built on
 them.
 
-An ideal is held as an echelon span inside the coordinate space indexed by
-the canonical diagram order.  It is built level by level in the groupoid
-basis (``groupoid.ideal_of_blocks``), not by saturating under the
-generators, and products of block representatives are read off the same
-levels (``groupoid.level_product``).  A generator times a diagram is a
-single diagram, so each generator acts on coordinates as a precomputed
-index map, which the one-dimensional ideal check applies.
+An ideal is held as an echelon span in floor coordinates: entry i is the
+coefficient of floor(``all_diagrams(n)[i]``) in the groupoid basis.  It is
+built level by level there (``groupoid.ideal_of_blocks``), not by
+saturating under the generators, and products of block representatives are
+read off the same levels (``groupoid.level_product``).  A generator times a
+diagram is a single diagram, so each generator acts on diagram coordinates
+as a precomputed index map, which the one-dimensional ideal check applies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .algebra import (
     AlgebraElement,
     antisymmetrizer,
     element_coordinates,
-    element_from_coordinates,
     full_projector,
     quasi_idempotent_factors,
     symmetrizer,
@@ -43,6 +42,7 @@ from .groupoid import (
     basis_change_failures,
     characters,
     content_character,
+    floor_blocks,
     ideal_of_blocks,
     level_blocks,
     level_product,
@@ -66,6 +66,9 @@ def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass
 class IdealSpan:
+    """A two-sided ideal as the echelon span of its floor coordinates:
+    entry i is the coefficient of floor(``all_diagrams(n)[i]``)."""
+
     basis: SpanBasis
 
     @property
@@ -74,8 +77,8 @@ class IdealSpan:
 
 
 def two_sided_ideal(a: AlgebraElement) -> IdealSpan:
-    """The two-sided ideal ``a`` generates, built from the S_k ideals of its
-    level blocks in the groupoid basis (``groupoid.ideal_of_blocks``, which
+    """The two-sided ideal ``a`` generates, in floor coordinates, from the
+    S_k ideals of its level blocks (``groupoid.ideal_of_blocks``, which
     gives the argument).  The echelon form is canonical, so the basis is the
     one any other construction of the same span yields."""
     if a.is_zero():
@@ -209,7 +212,8 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     and orthogonality multiplies echelon basis elements of distinct blocks
     through their level blocks (``groupoid.level_product``): every pair for
     n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that.  Each sampled
-    basis element is converted to level blocks once."""
+    basis element is grouped into level blocks once, straight from its
+    floor coordinates."""
     exhaustive = n <= 3
     shapes = specht.all_shapes(n)
     blocks = {shape: block_ideal(shape, n) for shape in shapes}
@@ -236,6 +240,7 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
         ),
     ]
 
+    diags = all_diagrams(n)
     rows = {shape: blocks[shape].basis.int_rows() for shape in shapes}
     pairs = block_pairs(
         [(shape, len(rows[shape])) for shape in shapes], None if exhaustive else seed
@@ -244,7 +249,7 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
 
     def rep(shape: specht.Shape, i: int) -> list:
         if (shape, i) not in reps:
-            reps[shape, i] = level_blocks(element_from_coordinates(n, rows[shape][i]))
+            reps[shape, i] = floor_blocks(n, {diags[j]: c for j, c in rows[shape][i].items()})
         return reps[shape, i]
 
     bad = []
@@ -287,8 +292,8 @@ def check_specht_orthogonality(
     Each quasi-idempotent acts on the echelon basis of each Specht module,
     which it kills exactly when it kills the module.  It acts one factor of
     ``quasi_idempotent_factors`` at a time, right factor first: permutation
-    sums over a row or column, and deletion factors that only filter or
-    scale a tabloid, never the expanded e_t with its |R_k|-term row
+    sums over a row or column, and deletion factors that only filter a
+    tabloid, never the expanded e_t with its |R_k|-term row
     symmetrizers.  A shape's tableaux are sampled (seeded) only when it has
     more than ``sample_tableaux`` of them, which must be at least 1.
     """

@@ -10,9 +10,9 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from rookmonoid.algebra import AlgebraElement, element_coordinates, top_antisymmetrizer
+from rookmonoid.algebra import AlgebraElement, Coeff, element_coordinates, top_antisymmetrizer
 from rookmonoid.diagrams import (
     Perm,
     Quadruple,
@@ -20,6 +20,7 @@ from rookmonoid.diagrams import (
     all_permutations,
     compose_quadruple,
     coset_reps,
+    diagram_index,
     generators,
     identity,
     monoid_order,
@@ -27,7 +28,7 @@ from rookmonoid.diagrams import (
     perm_length,
     star,
 )
-from rookmonoid.groupoid import growth_words, level_blocks, level_ideal
+from rookmonoid.groupoid import growth_words, level_blocks, level_ideal, sweep
 from rookmonoid.ideals import IdealSpan
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space, saturate
 from rookmonoid.specht import (
@@ -210,6 +211,29 @@ def mat_vec(m: SparseMatrix, x: dict) -> dict:
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def element_from_coordinates(
+    n: int, coords: Mapping[int, Coeff]
+) -> AlgebraElement:
+    diags = all_diagrams(n)
+    return AlgebraElement(n, {diags[i]: c for i, c in coords.items() if c})
+
+
+def floor_span(n: int, rows: Iterable[Mapping[int, Coeff]]) -> SpanBasis:
+    """The span of ``rows``, vectors in diagram coordinates, in the floor
+    coordinates an ``IdealSpan`` holds: the zeta ``sweep`` of each row
+    (d = sum over t <= d of floor(t)), inserted into a fresh echelon span.
+    For an element, pass its one row of ``element_coordinates``.  The
+    change of basis is the one ``groupoid.basis_change_failures``
+    certifies; comparing through it keeps the saturation oracles in
+    diagram coordinates."""
+    diags, index = all_diagrams(n), diagram_index(n)
+    basis = SpanBasis(monoid_order(n))
+    for row in rows:
+        hat = sweep({diags[i]: c for i, c in row.items()}, 1)
+        basis.insert({index[t]: c for t, c in hat.items()})
+    return basis
 
 
 def two_sided_ideal_by_saturation(a: AlgebraElement) -> IdealSpan:

@@ -9,7 +9,6 @@ from rookmonoid.algebra import (
     AlgebraElement,
     antisymmetrizer,
     element_coordinates,
-    element_from_coordinates,
     full_projector,
     quasi_idempotent_factors,
     symmetrizer,
@@ -31,7 +30,13 @@ from rookmonoid.specht import (
     row_filled_tableau,
 )
 
-from oracles import brute_sign, element_star, product_by_terms, transposition
+from oracles import (
+    brute_sign,
+    element_from_coordinates,
+    element_star,
+    product_by_terms,
+    transposition,
+)
 
 
 def test_element_arithmetic_basics():
@@ -273,6 +278,23 @@ def test_quasi_idempotent_factors_multiply_to_the_quasi_idempotent():
                 # column of k vertices, or a deletion factor of at most n + 1
                 longest = max(shape + (len(shape),))
                 assert all(len(f.terms) <= max(factorial(longest), n + 1) for f in factors)
+
+
+def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
+    # no factor is redundant: every (tableau, factor) case at n <= 4
+    cases = 0
+    for n in range(1, 5):
+        for shape in all_shapes(n):
+            for t in all_tableaux(shape, n):
+                factors = quasi_idempotent_factors(t)
+                expected = tableau_quasi_idempotent(t)
+                for i in range(len(factors)):
+                    product = AlgebraElement.one(n)
+                    for f in factors[:i] + factors[i + 1 :]:
+                        product = product * f
+                    assert product != expected, (t, i)
+                    cases += 1
+    assert cases == 1402
 
 
 def test_coordinates_roundtrip():

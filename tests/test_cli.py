@@ -24,7 +24,7 @@ from rookmonoid.caps import (
     quasi_idempotent_pairs,
 )
 from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
-from rookmonoid import groupoid, ideals, linalg, specht, verify
+from rookmonoid import caps, groupoid, ideals, linalg, specht, verify
 from rookmonoid.cli import main
 from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal
@@ -334,7 +334,7 @@ def test_specht_dims_refuses_n9(capsys):
 
 
 @pytest.mark.parametrize("n, quantity", [
-    (6, "block ideal echelon entries at n=6 = 161460289"),
+    (7, "block ideal echelon entries at n=7 = 47678534"),
     (99, "rook monoid order at n=99"),
 ])
 def test_verify_blocks_refuses_large_n(n, quantity, capsys):
@@ -349,28 +349,47 @@ def test_verify_blocks_refuses_large_n(n, quantity, capsys):
     assert elapsed < 1.0
 
 
-def test_verify_all_guards_the_blocks_row(capsys):
-    # every other row of this grid fits in 30,000 cells; blocks(n=4) needs 36,253
-    code = main(["verify-all", "--n", "4", "--m", "1", "--max-cells", "30000"])
+def test_verify_all_guards_the_blocks_row(monkeypatch, capsys):
+    # the block guard runs for every blocks row before any check does: one
+    # that refuses n = 4 leaves no output, and no block is built
+    guarded = []
+
+    def refuse_n4(n, max_cells):
+        guarded.append((n, max_cells))
+        if n == 4:
+            raise SizeCapError(f"block ideal echelon entries at n={n}", 1, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the guards")
+
+    monkeypatch.setattr(caps, "check_block_cap", refuse_n4)
+    monkeypatch.setattr(ideals, "check_block_decomposition", forbidden)
+    code = main(["verify-all", "--n", "4", "--m", "1"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "block ideal echelon entries at n=4 = 36253" in captured.err
+    assert guarded == [(2, DEFAULT_MAX_CELLS), (3, DEFAULT_MAX_CELLS), (4, DEFAULT_MAX_CELLS)]
+    assert "block ideal echelon entries at n=4" in captured.err
     assert captured.out == ""
 
 
 def test_block_bound_covers_stored_entries():
-    for n in range(1, 5):
+    for n in range(1, 6):
         stored = sum(
             len(row)
             for shape in all_shapes(n)
             for row in block_ideal(shape, n).basis.int_rows()
         )
         assert stored <= block_entries(n), n
-    # 2,075,476 entries at n = 5 pass the default cap; not run, only guarded
-    check_block_cap(5, DEFAULT_MAX_CELLS)
+    assert [block_entries(n) for n in range(1, 6)] == [2, 9, 70, 965, 24_786]
+    check_block_cap(5, 24_786)
     with pytest.raises(SizeCapError) as exc:
-        check_block_cap(5, 2_075_475)
-    assert exc.value.value == 2_075_476
+        check_block_cap(5, 24_785)
+    assert exc.value.value == 24_786
+    # 935,557 entries at n = 6 pass the default cap; not run, only guarded
+    check_block_cap(6, DEFAULT_MAX_CELLS)
+    with pytest.raises(SizeCapError) as exc:
+        check_block_cap(7, DEFAULT_MAX_CELLS)
+    assert exc.value.value == 47_678_534
 
 
 def test_verify_all_leaves_the_cached_rows_alone(capsys):

@@ -8,10 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rookmonoid import groupoid, ideals
+from rookmonoid import groupoid, ideals, linalg
 from rookmonoid.algebra import (
     AlgebraElement,
-    element_from_coordinates,
     full_projector,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
@@ -26,6 +25,7 @@ from rookmonoid.diagrams import (
 from rookmonoid.groupoid import (
     balanced,
     basis_change_failures,
+    floor_blocks,
     growth_words,
     level_blocks,
     level_ideal,
@@ -42,6 +42,8 @@ from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
 import oracles
 from oracles import (
     annihilator_by_phi_kernel,
+    element_from_coordinates,
+    floor_span,
     kills_every_growth_word,
     level_annihilator,
     restrictions,
@@ -372,6 +374,11 @@ def test_level_blocks_of_the_generator_start_at_level_m_plus_one():
                 assert all(len(dom) == len(ran) == k for dom, ran in block)
 
 
+def _saturated_floors(a):
+    """The saturation oracle's ideal of a, moved to floor coordinates."""
+    return floor_span(a.n, two_sided_ideal_by_saturation(a).basis.int_rows())
+
+
 def test_level_ideal_matches_the_saturation():
     # the canonical echelon form makes equal spans equal bases, row for row
     for n in range(1, 5):
@@ -380,14 +387,14 @@ def test_level_ideal_matches_the_saturation():
             for fill in (row_filled_tableau, column_filled_tableau):
                 gens.append(tableau_quasi_idempotent(fill(shape, n)))
         for a in gens:
-            assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis, (a, n)
+            assert two_sided_ideal(a).basis == _saturated_floors(a), (a, n)
 
 
 def test_level_ideal_spans_several_levels():
     # 1 - p_1 + p_1 p_2 / 2 has terms on levels 2, 1 and 0 at n = 2
     a = AlgebraElement(2, {identity(2): 1, (0, 2): -1, (0, 0): Fraction(1, 2)})
     assert sum(map(bool, level_blocks(a))) == 3
-    assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis
+    assert two_sided_ideal(a).basis == _saturated_floors(a)
 
 
 @st.composite
@@ -409,7 +416,7 @@ def element_pair(draw, max_n):
 def test_level_ideal_matches_the_saturation_on_drawn_elements(pair):
     for a in pair:
         if not a.is_zero():
-            assert two_sided_ideal(a).basis == two_sided_ideal_by_saturation(a).basis
+            assert two_sided_ideal(a).basis == _saturated_floors(a)
 
 
 def _check_product(x, y):
@@ -422,13 +429,16 @@ def _check_product(x, y):
 
 def test_level_product_matches_the_product_of_block_elements():
     # two echelon rows of one block ideal often multiply to nonzero, rows of
-    # distinct blocks never; the full projector lives on level 0 alone
+    # distinct blocks never; the full projector lives on level 0 alone.  The
+    # rows are the saturation oracle's, in diagram coordinates, of the same
+    # span as each block ideal
     for n in range(1, 5):
-        rows = [
-            element_from_coordinates(n, row)
-            for shape in all_shapes(n)
-            for row in block_ideal(shape, n).basis.int_rows()[:2]
-        ]
+        rows = []
+        for shape in all_shapes(n):
+            e = tableau_quasi_idempotent(row_filled_tableau(shape, n))
+            oracle = two_sided_ideal_by_saturation(e).basis.int_rows()
+            assert floor_span(n, oracle) == block_ideal(shape, n).basis, (shape, n)
+            rows += [element_from_coordinates(n, row) for row in oracle[:2]]
         rows += [full_projector(n), AlgebraElement.one(n)]
         zeros = [_check_product(x, y) for x in rows for y in rows]
         assert any(zeros) and not all(zeros), n
@@ -439,3 +449,76 @@ def test_level_product_matches_the_product_of_block_elements():
 @given(element_pair(4))
 def test_level_product_matches_the_product_on_drawn_elements(pair):
     _check_product(*pair)
+
+
+def test_block_ideal_rows_each_lie_in_one_cell():
+    # every echelon row of a block ideal is floor of E(dom, ran) (x) x for one
+    # pair of |lambda|-subsets, read directly off its floor coordinates, and
+    # its Moebius sweep back to diagrams has those level blocks
+    for n in range(1, 5):
+        diags = all_diagrams(n)
+        for shape in all_shapes(n):
+            rows = block_ideal(shape, n).basis.int_rows()
+            cells = Counter()
+            for row in rows:
+                hat = {diags[i]: c for i, c in row.items()}
+                blocks = floor_blocks(n, hat)
+                assert [len(b) for b in blocks] == [k == sum(shape) for k in range(n + 1)]
+                cells[next(iter(blocks[sum(shape)]))] += 1
+                assert level_blocks(AlgebraElement(n, sweep(hat, -1))) == blocks
+            # each of the C(n,r)^2 cells holds the f_lambda^2 rows of J_lambda
+            assert len(cells) == math.comb(n, sum(shape)) ** 2, (shape, n)
+            assert set(cells.values()) == {len(rows) // len(cells)}, (shape, n)
+
+
+def test_two_sided_ideals_run_no_moebius_sweep(monkeypatch):
+    # the block path reads and writes floor coordinates; only the
+    # certificate, cached here first, moves back to diagrams
+    for n in range(1, 5):
+        basis_change_failures(n)
+    signs = []
+    original = groupoid.sweep
+
+    def zeta_only(vec, sign):
+        signs.append(sign)
+        if sign < 0:
+            raise AssertionError("a Moebius sweep outside the certificate")
+        return original(vec, sign)
+
+    monkeypatch.setattr(groupoid, "sweep", zeta_only)
+    block_ideal.cache_clear()
+    try:
+        for n in range(1, 5):
+            assert ideals.check_block_decomposition(n)["pass"], n
+            assert two_sided_ideal(top_antisymmetrizer(n, n)).dimension
+    finally:
+        block_ideal.cache_clear()
+    assert signs and set(signs) == {1}
+
+
+def test_ideal_of_blocks_clears_pivots_only_inside_level_ideals(monkeypatch):
+    # the rows arrive in reduced echelon form, so every _cancel belongs to an
+    # S_k saturation
+    original_cancel, original_level = linalg._cancel, groupoid.level_ideal
+    inside, cancels = [], []
+
+    def level_ideal(k, seeds):
+        inside.append(k)
+        try:
+            return original_level(k, seeds)
+        finally:
+            inside.pop()
+
+    def cancel(*args):
+        assert inside, "a pivot was cleared outside level_ideal"
+        cancels.append(inside[-1])
+        original_cancel(*args)
+
+    monkeypatch.setattr(groupoid, "level_ideal", level_ideal)
+    monkeypatch.setattr(linalg, "_cancel", cancel)
+    for n in range(1, 5):
+        gens = [top_antisymmetrizer(k, n) for k in range(1, n + 1)]
+        gens += [tableau_quasi_idempotent(row_filled_tableau(s, n)) for s in all_shapes(n)]
+        for a in gens:
+            groupoid.ideal_of_blocks(n, level_blocks(a))
+    assert cancels

@@ -6,7 +6,6 @@ import pytest
 
 from rookmonoid.algebra import (
     AlgebraElement,
-    element_from_coordinates,
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
@@ -24,7 +23,7 @@ from rookmonoid.tensor import (
     tensor_index,
 )
 
-from oracles import mat_vec, matrix_rank as rank
+from oracles import element_from_coordinates, mat_vec, matrix_rank as rank
 
 
 def test_tensor_dim():
