@@ -18,7 +18,7 @@ n = 9, and the quasi-idempotent products and block ideals:
 and ``verify-lemma-3-10`` at n = 4 and 5 and its refusal at n = 6, each
 in the second checkout too.
 Then the groupoid basis-change certificate alone
-(``basis_change_failures``) at n = 5, 6 and 7, with its own time and the
+(``basis_change_failures``) at n = 5, 6, 7 and 8, with its own time and the
 interpreter's peak resident memory, in the second checkout too.  Last, the
 Specht characters alone (``groupoid.characters(k)``, the per-level
 certificate of the check) for each k <= 8, each in a fresh interpreter,
@@ -56,7 +56,7 @@ PRODUCTS = [  # (argv, expected exit code; a second checkout's is recorded, not 
     (["verify-lemma-3-10", "--n", "6"], 3),
 ]
 VERIFIERS = ("verify-blocks", "verify-lemma-3-10")  # print a report with a pass flag
-CERTIFICATE_N = [5, 6, 7]
+CERTIFICATE_N = [5, 6, 7, 8]
 CHARACTERS_K = range(9)
 
 

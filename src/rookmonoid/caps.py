@@ -99,11 +99,11 @@ def check_quasi_idempotent_cap(shape: Shape, n: int, max_cells: int) -> None:
 
 def level_work(n: int) -> int:
     """Entries the level-by-level annihilator check stores at n: the
-    certificate's three index maps over R_n and one domain's floors, at most
-    n! 2^n Moebius terms, and ``specht_entries(n)`` for the Specht modules
-    at n that the Specht count reads and again for the W_lambda, lambda of
-    k <= n, that the characters read (term by term no more than at n)."""
-    return 3 * monoid_order(n) + factorial(n) * 2**n + 2 * specht_entries(n)
+    certificate's index maps over R_n, n deletions and three generators, and
+    ``specht_entries(n)`` for the Specht modules at n that the Specht count
+    reads and again for the W_lambda, lambda of k <= n, that the characters
+    read (term by term no more than at n)."""
+    return (n + 3) * monoid_order(n) + 2 * specht_entries(n)
 
 
 def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:

@@ -211,10 +211,11 @@ def multiplication_maps(
 ) -> tuple[tuple[int, ...], ...]:
     """Index maps on ``elements`` of left multiplication by each of ``left``,
     then right multiplication by each of ``right``; ``elements`` must be
-    closed under them."""
+    closed under them.  Each left factor is ``gather``ed once and each
+    right factor ``padded`` once, as ``multiply`` would for every product."""
     index = {d: i for i, d in enumerate(elements)}
-    maps = [tuple(index[multiply(g, d)] for d in elements) for g in left]
-    maps += [tuple(index[multiply(d, g)] for d in elements) for g in right]
+    maps = [tuple(index[get(padded(d))] for d in elements) for get in map(gather, left)]
+    maps += [tuple(index[gather(d)(pad)] for d in elements) for pad in map(padded, right)]
     return tuple(maps)
 
 

@@ -14,7 +14,7 @@ y = sum c_d d has coordinates  y^(t) = sum over d >= t of c_d.  (B. Steinberg,
 "Moebius functions and semigroup representation theory", J. Combin. Theory
 Ser. A 113 (2006); L. Solomon, J. Algebra 256 (2002).)  ``sweep`` is the one
 change between the two coordinates: the zeta transform one way, the Moebius
-transform back, which only the certificate runs.
+transform back, which only the certificate's unit check runs.
 
 Level k of the tensor power is the action of F S_k on V^(x)k, where V leaves
 out the marked vector.  Its two-sided ideals are read off the characters of
@@ -50,7 +50,7 @@ from .diagrams import (
     reach,
     three_generators,
 )
-from .linalg import SpanBasis, apply_map, saturate
+from .linalg import SpanBasis, saturate
 from .specht import (
     Shape,
     act_on_tabloid,
@@ -90,11 +90,22 @@ def basis_change_failures(
     """Certificate that floor is an isomorphism onto the matrix algebras.
 
     Returns, for the generators g of ``three_generators`` (s_1, the n-cycle
-    and p_1): the pairs (d, g), d in diagram order, with floor(d) g !=
-    floor(d g) when d g keeps the domain of d, or != 0 otherwise; whether
+    and p_1): the pairs (d, g), d in diagram order, with (p_a d) g !=
+    p_a (d g) for some deletion p_a, read off the index maps of left
+    multiplication by the p_a and right multiplication by g; whether
     1 = sum over A of floor(id_A); the number of products checked,
     |R_n| * 3; and how many diagrams the identity ``reach``es under right
-    multiplication by them.  No pairs, True and all reached mean certified.
+    multiplication by the generators.  No pairs, True and all reached mean
+    certified.
+
+    p_a d is d with slot a cleared.  For S inside A = dom d let
+    d|_S = (product over a in A - S of p_a) d, so that
+    floor(d) = sum over S of (-1)^|A - S| d|_S.  Induction on |A - S|,
+    applying the check to d|_S at a slot a in S, gives (d|_S) g = (d g)|_S.
+    So floor(d) g = sum over S of (-1)^|A - S| (d g)|_S.  That is
+    floor(d g) when d g keeps the domain A, and 0 otherwise: for a in A
+    outside dom(d g), p_a fixes every (d g)|_S, so the terms of S and of
+    S - {a}, a in S, are equal with opposite signs.
 
     Reaching every diagram makes every e a word in the generators, so
     induction on the length of e extends the generator rule to
@@ -102,25 +113,24 @@ def basis_change_failures(
     Expanding floor(e) = sum over t <= e of +-t, the surviving t have
     ran d <= dom t <= dom e and d t = d e, and their signs cancel unless
     ran d = dom e: that is the product rule.  The unit check makes the
-    isomorphism unital.  Each floor(d), and the sum of the floor(id_A), is a
-    Moebius ``sweep``, built and dropped one domain at a time.
+    isomorphism unital; it is the one Moebius ``sweep`` here.  No floor is
+    built: the signs above are the definition of floor, and the test suite
+    checks ``sweep`` against that definition on every diagram at n <= 5.
     """
     diags = all_diagrams(n)
-    index = diagram_index(n)
     gens = three_generators(n)
-    right = multiplication_maps(diags, (), gens)
-    domains: dict[tuple[bool, ...], list[int]] = {}
-    for i, d in enumerate(diags):
-        domains.setdefault(tuple(map(bool, d)), []).append(i)
-    bad = []
-    for group in domains.values():
-        floor = {i: {index[t]: c for t, c in sweep({diags[i]: 1}, -1).items()} for i in group}
-        for i in group:
-            for j, tau in enumerate(right):
-                if apply_map(tau, floor[i]) != floor.get(tau[i], {}):
-                    bad.append((i, j))
+    deletions = [generator(n, "p", a) for a in range(1, n + 1)]
+    maps = multiplication_maps(diags, deletions, gens)
+    clears, right = maps[:n], maps[n:]
+    bad = {
+        (i, j)
+        for j, tau in enumerate(right)
+        for clear in clears
+        for i, (c, t) in enumerate(zip(clear, tau))
+        if tau[c] != clear[t]
+    }
     one = identity(n)
-    reached = reach(right, index[one])
+    reached = reach(right, diagram_index(n)[one])
     partial_identities = itertools.product(*((0, a) for a in one))
     unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
     failing = tuple((diags[i], gens[j]) for i, j in sorted(bad))

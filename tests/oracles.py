@@ -26,11 +26,14 @@ from rookmonoid.diagrams import (
     monoid_order,
     multiplication_maps,
     perm_length,
+    reach,
     star,
+    three_generators,
 )
+from rookmonoid import groupoid
 from rookmonoid.groupoid import growth_words, level_blocks, level_ideal, sweep
 from rookmonoid.ideals import IdealSpan
-from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace, row_space, saturate
+from rookmonoid.linalg import SpanBasis, SparseMatrix, apply_map, nullspace, row_space, saturate
 from rookmonoid.specht import (
     Tableau,
     partitions_of,
@@ -79,6 +82,40 @@ def restrictions(d: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
             for a in cut:
                 img[a] = 0
             yield tuple(img), r
+
+
+def floor_product_failures(
+    n: int,
+) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool, int, int]:
+    """The basis-change certificate floor by floor: the reference for
+    ``groupoid.basis_change_failures``, with the same return value.
+
+    Builds floor(d) of every diagram by a Moebius ``groupoid.sweep``, one
+    domain at a time, and compares floor(d) g with floor(d g) for each
+    generator g of ``three_generators``, or with 0 when d g drops part of
+    the domain of d.  The sweep and the index maps are looked up at call
+    time, so a test can corrupt either; not cached, so a corrupted run
+    leaves nothing behind."""
+    diags = all_diagrams(n)
+    index = diagram_index(n)
+    gens = three_generators(n)
+    right = multiplication_maps(diags, (), gens)
+    domains: dict[tuple[bool, ...], list[int]] = {}
+    for i, d in enumerate(diags):
+        domains.setdefault(tuple(map(bool, d)), []).append(i)
+    bad = []
+    for group in domains.values():
+        floor = {i: {index[t]: c for t, c in groupoid.sweep({diags[i]: 1}, -1).items()} for i in group}
+        for i in group:
+            for j, tau in enumerate(right):
+                if apply_map(tau, floor[i]) != floor.get(tau[i], {}):
+                    bad.append((i, j))
+    one = identity(n)
+    reached = reach(right, index[one])
+    partial_identities = itertools.product(*((0, a) for a in one))
+    unit_holds = groupoid.sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
+    failing = tuple((diags[i], gens[j]) for i, j in sorted(bad))
+    return failing, unit_holds, len(diags) * len(gens), len(reached)
 
 
 def kills_every_growth_word(m: int, k: int, x: dict[int, int]) -> bool:

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter, deque
+from collections import deque
 from math import factorial
 
 import pytest
@@ -26,7 +26,7 @@ from rookmonoid.caps import (
 from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
 from rookmonoid import caps, groupoid, ideals, linalg, specht, verify
 from rookmonoid.cli import main
-from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators
+from rookmonoid.diagrams import monoid_order, three_generators
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal
 from rookmonoid.linalg import SpanBasis
 from rookmonoid.reporting import assertion, report
@@ -209,21 +209,21 @@ def test_cap_counts_phi_entries(m, n, capsys):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_level_guard_admits_n6(m):
     # every m < 6 passes the default cap at n = 6; not run, only guarded
-    assert level_work(6) == 3 * 13_327 + 720 * 64 + 2 * 20_175 <= DEFAULT_MAX_CELLS
+    assert level_work(6) == 9 * 13_327 + 2 * 20_175 == 160_293 <= DEFAULT_MAX_CELLS
     check_level_cap(m, 6, DEFAULT_MAX_CELLS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_level_guard_admits_n7(m):
-    # 1.40M entries pass the default cap at n = 7, and 18.1M at n = 8 do not;
+    # 1.67M entries pass the default cap at n = 7, and 19.4M at n = 8 do not;
     # not run, only guarded
-    assert level_work(7) == 3 * 130_922 + 5040 * 128 + 2 * 179_562 <= DEFAULT_MAX_CELLS
+    assert level_work(7) == 10 * 130_922 + 2 * 179_562 == 1_668_344 <= DEFAULT_MAX_CELLS
     check_level_cap(m, 7, DEFAULT_MAX_CELLS)
-    assert level_work(8) == 3 * 1_441_729 + 40_320 * 256 + 2 * 1_749_482 > DEFAULT_MAX_CELLS
+    assert level_work(8) == 11 * 1_441_729 + 2 * 1_749_482 == 19_357_983 > DEFAULT_MAX_CELLS
 
 
 def test_level_bound_covers_stored_entries(monkeypatch):
-    # the certificate's index maps and its floors of the largest domain, the
+    # the certificate's index maps (n deletions and the generators), the
     # echelon rows of every span the check builds (the Specht modules at n
     # and at each k <= n, and each level's seeds), and the largest set of
     # Specht swap maps with its saturation queue at its fullest, all counted
@@ -257,10 +257,7 @@ def test_level_bound_covers_stored_entries(monkeypatch):
     monkeypatch.setattr(linalg, "deque", Queue)
     monkeypatch.setattr(specht, "_swap_maps", counted_maps)
     for n in range(1, 6):
-        floors = Counter()
-        for d in all_diagrams(n):
-            floors[tuple(map(bool, d))] += len(groupoid.sweep({d: 1}, -1))
-        fixed = len(three_generators(n)) * monoid_order(n) + max(floors.values())
+        fixed = (n + len(three_generators(n))) * monoid_order(n)
         for m in range(n):
             for cache in (groupoid.characters, specht.specht_basis, specht.specht_dimension):
                 cache.cache_clear()

@@ -19,6 +19,7 @@ from rookmonoid.diagrams import (
     all_diagrams,
     identity,
     monoid_order,
+    multiplication_maps,
     multiply,
     three_generators,
 )
@@ -43,6 +44,7 @@ import oracles
 from oracles import (
     annihilator_by_phi_kernel,
     element_from_coordinates,
+    floor_product_failures,
     floor_span,
     kills_every_growth_word,
     level_annihilator,
@@ -66,6 +68,13 @@ def fresh_certificate():
     basis_change_failures.cache_clear()
     yield
     basis_change_failures.cache_clear()
+
+
+@pytest.fixture
+def floor_certificate(monkeypatch):
+    # the reports certify the basis change floor by floor, so that a flipped
+    # Moebius sign reaches them
+    monkeypatch.setattr(ideals, "basis_change_failures", floor_product_failures)
 
 
 def test_level_route_matches_the_phi_kernel_route():
@@ -139,11 +148,19 @@ def test_a_diagram_keeps_its_domain_when_its_range_lies_in_the_next():
             assert (dom_de == dom_d) == inside, (d, e)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_sweep_matches_its_definition(n):
+    # every diagram's floor, which the certificate takes from this definition
+    # without building it, and the zeta sweep back to the diagram
+    diags = all_diagrams(n)
+    for d in diags:
+        floor = sweep({d: 1}, -1)
+        assert floor == {t: (-1) ** r for t, r in restrictions(d)}, d
+        assert sweep(floor, 1) == {d: 1}, d
+    if n == 5:
+        return  # the slot-by-slot zeta below compares every pair of diagrams
     # small entries on a random support, so that sums cancel in both directions
     rng = random.Random(n)
-    diags = all_diagrams(n)
     for _ in range(30):
         vec = {d: rng.randint(-2, 2) for d in rng.sample(diags, rng.randint(0, len(diags)))}
         zeta = {}
@@ -234,7 +251,7 @@ def _flip_floor_entry(monkeypatch, target, cut):
     monkeypatch.setattr(groupoid, "sweep", flipped)
 
 
-def test_a_flipped_moebius_sign_fails_the_certificate(monkeypatch, fresh_certificate):
+def test_a_flipped_moebius_sign_fails_the_certificate(monkeypatch, floor_certificate):
     target = (2, 3, 1)
     _flip_floor_entry(monkeypatch, target, (2, 3, 0))
     rep = check_annihilator_ideal(1, 3)
@@ -277,9 +294,7 @@ def test_permutations_alone_fail_the_certificate_by_reach(monkeypatch, fresh_cer
     # s_1 and p_1 both fix (0, 4, 3, 0), so only the cycle meets its floor
     [((0, 4, 3, 0), (0, 4, 0, 0)), ((3, 0, 0, 1), (0, 0, 0, 1))],
 )
-def test_a_flipped_sign_on_rank_two_fails_the_certificate(
-    target, cut, monkeypatch, fresh_certificate
-):
+def test_a_flipped_sign_on_rank_two_fails_the_certificate(target, cut, monkeypatch, floor_certificate):
     _flip_floor_entry(monkeypatch, target, cut)
     rep = check_annihilator_ideal(1, 4)
     assert "groupoid basis change is certified at n" in _failed(rep)
@@ -290,17 +305,52 @@ def test_a_flipped_sign_on_rank_two_fails_the_certificate(
     assert [target, (2, 3, 4, 1)] in [[tuple(d), tuple(g)] for d, g in witness["failing"]]
 
 
-def test_failing_products_come_in_diagram_order(monkeypatch, fresh_certificate):
+def test_failing_products_come_in_diagram_order(monkeypatch):
     # the floors are built one domain at a time, but the failing pairs of
     # flips in two domains still come as one pass over the diagrams gives them
     _flip_floor_entry(monkeypatch, (3, 0, 0, 1), (0, 0, 0, 1))
     _flip_floor_entry(monkeypatch, (2, 3, 0, 0), (2, 0, 0, 0))
-    failing, unit, _, _ = basis_change_failures(4)
+    failing, unit, _, _ = floor_product_failures(4)
     order = {d: i for i, d in enumerate(all_diagrams(4))}
     keys = [(order[d], three_generators(4).index(g)) for d, g in failing]
     assert unit and keys == sorted(keys)
     domains = [tuple(map(bool, d)) for d, _ in failing]
     assert domains != sorted(domains, key=domains.index)  # the two domains interleave
+
+
+def test_both_certificates_pass_at_small_n():
+    # the index check on the deletions and the floor-by-floor products agree
+    for n in range(1, 6):
+        order = monoid_order(n)
+        expected = ((), True, order * len(three_generators(n)), order)
+        assert basis_change_failures(n) == floor_product_failures(n) == expected, n
+
+
+def test_a_corrupted_right_map_fails_both_certificates(monkeypatch, fresh_certificate):
+    # right multiplication by the cycle sends d to a wrong diagram of the
+    # same domain; both certificates name d among their failing pairs, every
+    # one of them with the cycle, in diagram order
+    n, d, g, wrong = 4, (3, 0, 0, 1), (2, 3, 4, 1), (2, 0, 0, 4)
+    assert multiply(d, g) == (4, 0, 0, 2)
+
+    def corrupted(elements, left, right):
+        maps = [list(tau) for tau in multiplication_maps(elements, left, right)]
+        if g in right:
+            index = {e: i for i, e in enumerate(elements)}
+            maps[len(left) + right.index(g)][index[d]] = index[wrong]
+        return tuple(map(tuple, maps))
+
+    monkeypatch.setattr(groupoid, "multiplication_maps", corrupted)
+    monkeypatch.setattr(oracles, "multiplication_maps", corrupted)
+    order = {e: i for i, e in enumerate(all_diagrams(n))}
+    for certificate in (basis_change_failures, floor_product_failures):
+        failing, unit, _, reached = certificate(n)
+        assert (d, g) in failing and unit and reached == monoid_order(n), certificate
+        assert {h for _, h in failing} == {g}, certificate
+        keys = [order[e] for e, _ in failing]
+        assert keys == sorted(set(keys)), certificate
+    rep = check_annihilator_ideal(1, n)
+    assert "groupoid basis change is certified at n" in _failed(rep)
 
 
 def test_a_dropped_block_entry_fails_to_fill_the_annihilator(monkeypatch):
