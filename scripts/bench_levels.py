@@ -19,7 +19,9 @@ and ``verify-lemma-3-10`` at n = 4 and 5 and its refusal at n = 6, each
 in the second checkout too.
 Then the groupoid basis-change certificate alone
 (``basis_change_failures``) at n = 5, 6, 7 and 8, with its own time and the
-interpreter's peak resident memory, in the second checkout too.  Last, the
+interpreter's peak resident memory, in the second checkout too.  Then the
+tensor homomorphism certificate alone (``check_tensor_homomorphism``) at
+(n, m) = (5, 2) and (6, 1), the same way.  Last, the
 Specht characters alone (``groupoid.characters(k)``, the per-level
 certificate of the check) for each k <= 8, each in a fresh interpreter,
 with their time, whether they certify the level and the peak memory.
@@ -57,6 +59,7 @@ PRODUCTS = [  # (argv, expected exit code; a second checkout's is recorded, not 
 ]
 VERIFIERS = ("verify-blocks", "verify-lemma-3-10")  # print a report with a pass flag
 CERTIFICATE_N = [5, 6, 7, 8]
+TENSOR_CASES = [(5, 2), (6, 1)]  # (n, m)
 CHARACTERS_K = range(9)
 
 
@@ -72,6 +75,19 @@ print(json.dumps({{
     "certified": not failing and unit and reached == monoid_order({n}),
     "products": products,
     "reached": reached,
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}}))
+"""
+
+
+TENSOR = """\
+import json, resource, time
+from rookmonoid.verify import check_tensor_homomorphism
+started = time.perf_counter()
+rep = check_tensor_homomorphism({n}, {m})
+print(json.dumps({{
+    "tensor_s": round(time.perf_counter() - started, 3),
+    "certified": rep["pass"],
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
 }}))
 """
@@ -149,10 +165,11 @@ def outcome(wall: float, proc: subprocess.CompletedProcess) -> dict:
             "exit_code": proc.returncode, "pass": rep.get("pass")}
 
 
-def certificate_run(n: int, root: Path, script: str = CERTIFICATE, key: str = "n") -> dict:
-    """One certificate alone at n (or k), in a fresh interpreter."""
-    wall, proc = run_argv(["-c", script.format(**{key: n})], root)
-    entry = {key: n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+def certificate_run(params: dict, root: Path, script: str = CERTIFICATE) -> dict:
+    """One certificate alone at ``params`` (n, or k, or n and m), in a
+    fresh interpreter."""
+    wall, proc = run_argv(["-c", script.format(**params)], root)
+    entry = {**params, "wall_s": round(wall, 2), "exit_code": proc.returncode}
     if proc.returncode == 0:
         entry.update(json.loads(proc.stdout))
     else:
@@ -217,12 +234,19 @@ def main(out: str, parent: Path | None = None) -> int:
         print(json.dumps(entry), file=sys.stderr)
     certificate = []
     for n in CERTIFICATE_N:
-        entry = certificate_run(n, ROOT)
+        entry = certificate_run({"n": n}, ROOT)
         if parent:
-            entry["parent"] = certificate_run(n, parent)
+            entry["parent"] = certificate_run({"n": n}, parent)
         certificate.append(entry)
         print(json.dumps(entry), file=sys.stderr)
-    characters = [certificate_run(k, ROOT, CHARACTERS, "k") for k in CHARACTERS_K]
+    tensor = []
+    for n, m in TENSOR_CASES:
+        entry = certificate_run({"n": n, "m": m}, ROOT, TENSOR)
+        if parent:
+            entry["parent"] = certificate_run({"n": n, "m": m}, parent, TENSOR)
+        tensor.append(entry)
+        print(json.dumps(entry), file=sys.stderr)
+    characters = [certificate_run({"k": k}, ROOT, CHARACTERS) for k in CHARACTERS_K]
     print(json.dumps(characters), file=sys.stderr)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
@@ -239,6 +263,7 @@ def main(out: str, parent: Path | None = None) -> int:
         "specht_dims": specht_dims,
         "products": products,
         "certificate": certificate,
+        "tensor_homomorphism": tensor,
         "characters": characters,
     }
     Path(out).write_text(json.dumps(record, indent=2) + "\n")
@@ -247,7 +272,10 @@ def main(out: str, parent: Path | None = None) -> int:
         and all(r["exit_code"] == 3 for r in refused)
         and all(d["exit_code"] == SPECHT_DIMS[d["n"]] for d in specht_dims)
         and all(p["exit_code"] == p["expected_exit_code"] for p in products)
-        and all(c.get("certified") and c.get("parent", c).get("certified") for c in certificate)
+        and all(
+            c.get("certified") and c.get("parent", c).get("certified")
+            for c in certificate + tensor
+        )
         and all(c.get("certified") for c in characters)
     )
     return 0 if ok else 1

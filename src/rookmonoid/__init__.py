@@ -41,6 +41,6 @@ from .ideals import (
 )
 from .linalg import SpanBasis, SparseMatrix, nullspace
 from .specht import Tableau, polytabloid, specht_dimension
-from .tensor import annihilator_basis, diagram_matrix, element_matrix, phi_matrix
+from .tensor import annihilator_basis, diagram_map, element_matrix, phi_matrix
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .diagrams import (
     Diagram,
     all_permutations,
     diagram_index,
-    diagram_sign,
     gather,
     generator,
     identity,
@@ -207,12 +206,17 @@ def symmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
 def antisymmetrizer(subset: Sequence[int], n: int) -> AlgebraElement:
     """Signed sum over the permutations of ``subset`` together with the
     signed single-deletion diagrams; swaps inside the subset act as -1 and
-    deletions as 0.  Signs are computed on {1..k} before transport."""
+    deletions as 0.  Signs are computed on {1..k} before transport.  It is
+    (sum of sgn(w) w)(1 - sum of p_b), and w p_b is w with the slot holding
+    b cleared: each single-deletion diagram once, with its ``diagram_sign``
+    -sgn(w).  Those terms follow the permutations, sorted."""
     labels = _subset_labels(subset, n)
     k = len(labels)
     terms = _permutation_terms(labels, n, signed=True)
-    for small in rank_class(k, 1):
-        terms[_embed(small, labels, n)] = diagram_sign(small)
+    signs = zip(all_permutations(k), terms.values())  # the order terms were built in
+    cleared = sorted((w[:a] + (0,) + w[a + 1 :], -s) for w, s in signs for a in range(k))
+    for small, s in cleared:
+        terms[_embed(small, labels, n)] = s
     out = AlgebraElement(n)
     out.terms = terms
     return out

@@ -25,7 +25,7 @@ import itertools
 import math
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .reporting import assertion, report
 
@@ -207,15 +207,15 @@ def all_permutations(n: int) -> tuple[Perm, ...]:
 
 
 def multiplication_maps(
-    elements: Sequence[Diagram], left: Sequence[Diagram], right: Sequence[Diagram]
+    index: Mapping[Diagram, int], left: Sequence[Diagram], right: Sequence[Diagram]
 ) -> tuple[tuple[int, ...], ...]:
-    """Index maps on ``elements`` of left multiplication by each of ``left``,
-    then right multiplication by each of ``right``; ``elements`` must be
-    closed under them.  Each left factor is ``gather``ed once and each
-    right factor ``padded`` once, as ``multiply`` would for every product."""
-    index = {d: i for i, d in enumerate(elements)}
-    maps = [tuple(index[get(padded(d))] for d in elements) for get in map(gather, left)]
-    maps += [tuple(index[gather(d)(pad)] for d in elements) for pad in map(padded, right)]
+    """Index maps on the keys of ``index`` (element -> position, such as
+    ``diagram_index(n)``) of left multiplication by each of ``left``, then
+    right multiplication by each of ``right``; the keys must be closed under
+    them.  Each left factor is ``gather``ed once and each right factor
+    ``padded`` once, as ``multiply`` would for every product."""
+    maps = [tuple(index[get(padded(d))] for d in index) for get in map(gather, left)]
+    maps += [tuple(index[gather(d)(pad)] for d in index) for pad in map(padded, right)]
     return tuple(maps)
 
 

@@ -118,9 +118,10 @@ def basis_change_failures(
     checks ``sweep`` against that definition on every diagram at n <= 5.
     """
     diags = all_diagrams(n)
+    index = diagram_index(n)
     gens = three_generators(n)
     deletions = [generator(n, "p", a) for a in range(1, n + 1)]
-    maps = multiplication_maps(diags, deletions, gens)
+    maps = multiplication_maps(index, deletions, gens)
     clears, right = maps[:n], maps[n:]
     bad = {
         (i, j)
@@ -130,7 +131,7 @@ def basis_change_failures(
         if tau[c] != clear[t]
     }
     one = identity(n)
-    reached = reach(right, diagram_index(n)[one])
+    reached = reach(right, index[one])
     partial_identities = itertools.product(*((0, a) for a in one))
     unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
     failing = tuple((diags[i], gens[j]) for i, j in sorted(bad))
@@ -312,7 +313,7 @@ def missed_words(m: int, k: int, seeds: Sequence[Mapping[int, int]]) -> list[tup
 @lru_cache(maxsize=None)
 def _swap_maps(k: int) -> tuple[tuple[int, ...], ...]:
     swaps = [generator(k, "s", i) for i in range(1, k)]
-    return multiplication_maps(all_permutations(k), swaps, swaps)
+    return multiplication_maps(_perm_index(k), swaps, swaps)
 
 
 def level_ideal(k: int, seeds: Iterable[Mapping[int, int]]) -> SpanBasis:
@@ -367,8 +368,7 @@ def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
 def _product_table(k: int) -> tuple[tuple[int, ...], ...]:
     """Row i maps the index of tau to that of sigma_i tau, indices into
     ``all_permutations(k)``."""
-    perms = all_permutations(k)
-    return multiplication_maps(perms, perms, ())
+    return multiplication_maps(_perm_index(k), all_permutations(k), ())
 
 
 def level_product(x: Sequence[Block], y: Sequence[Block]) -> list[Block]:

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from . import specht
 from .algebra import (
@@ -33,6 +34,7 @@ from .algebra import (
 from .caps import DEFAULT_MAX_CELLS, check_level_cap
 from .diagrams import (
     all_diagrams,
+    diagram_index,
     generators,
     is_permutation,
     monoid_order,
@@ -61,7 +63,7 @@ SAMPLE_PAIRS = 300
 def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """Index maps for left and right multiplication by each generator."""
     gens = generators(n)
-    return multiplication_maps(all_diagrams(n), gens, gens)
+    return multiplication_maps(diagram_index(n), gens, gens)
 
 
 @dataclass
@@ -454,10 +456,14 @@ def check_annihilator_ideal(
             span.insert(x)
         seeds = span.int_rows()
         alive += [{"level": k, "word": list(u)} for u in missed_words(m, k, seeds)]
+        class_sums = [[0] * len(chars.types) for _ in seeds]  # trace = sums . chi
+        for sums, x in zip(class_sums, seeds):
+            for j, c in x.items():
+                sums[chars.class_of[j]] += c
         reached = {
             shape
             for shape, chi in chars.table.items()
-            if any(sum(c * chi[chars.class_of[j]] for j, c in x.items()) for x in seeds)
+            if any(sum(map(mul, sums, chi)) for sums in class_sums)
         }
         ann_dims.append(sum(int(chars.table[s][-1]) ** 2 for s in outside))
         ideal_dims.append(sum(int(chars.table[s][-1]) ** 2 for s in reached))

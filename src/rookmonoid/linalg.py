@@ -55,25 +55,6 @@ class SparseMatrix:
         return out
 
 
-def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.cols} vs {b.rows}")
-    b_rows = b.row_dicts()
-    out: dict[tuple[int, int], int | Fraction] = {}
-    for (r, k), va in a.entries.items():
-        row_k = b_rows.get(k)
-        if not row_k:
-            continue
-        for c, vb in row_k.items():
-            key = (r, c)
-            acc = out.get(key, 0) + va * vb
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return SparseMatrix(a.rows, b.cols, out)
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     if g > 1:

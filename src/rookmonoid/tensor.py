@@ -14,7 +14,6 @@ sum of i_j (m+1)^(n-j).
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .algebra import AlgebraElement
@@ -29,33 +28,35 @@ def tensor_dim(m: int, n: int) -> int:
     return (m + 1) ** n
 
 
-def tensor_index(digits: Sequence[int], m: int) -> int:
-    out = 0
-    for d in digits:
-        if not 0 <= d <= m:
-            raise ValueError(f"digit {d} outside 0..{m}")
-        out = out * (m + 1) + d
-    return out
+def diagram_map(d: Sequence[int], m: int) -> tuple[int, ...]:
+    """phi(d) as a map on the dim = (m+1)^n basis indices: entry i is the
+    row of the 1 in column i, or dim for a zero column; entry dim is dim.
+    An edge from top a to bottom b moves digit x in 0..m from input slot b
+    to output slot a, adding x (m+1)^(n-b) to the column and x (m+1)^(n-a)
+    to the row; isolated bottoms carry digit 0.
 
-
-def _diagram_entries(d: Sequence[int], m: int):
-    """The (row, column) positions of the 1s in one diagram's matrix."""
-    hit = set(d) - {0}
-    # isolated bottom vertices only accept digit 0
-    ranges = [range(m + 1) if b in hit else range(1) for b in range(1, len(d) + 1)]
-    for digits in itertools.product(*ranges):
-        out_digits = tuple(digits[b - 1] if b else 0 for b in d)
-        yield tensor_index(out_digits, m), tensor_index(digits, m)
-
-
-def diagram_matrix(
-    d: Sequence[int], m: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SparseMatrix:
-    """The 0/1 matrix of one diagram on the tensor power."""
+    >>> diagram_map((0, 2), 1)
+    (0, 1, 4, 4, 4)
+    """
     n = len(d)
     dim = tensor_dim(m, n)
-    check_tensor_cap(m, n, max_cells)
-    return SparseMatrix(dim, dim, dict.fromkeys(_diagram_entries(d, m), 1))
+    cols, rows = [0], [0]
+    for a, b in enumerate(d, start=1):
+        if b:
+            step_in, step_out = (m + 1) ** (n - b), (m + 1) ** (n - a)
+            cols = [c + x * step_in for x in range(m + 1) for c in cols]
+            rows = [r + x * step_out for x in range(m + 1) for r in rows]
+    out = [dim] * (dim + 1)
+    for c, r in zip(cols, rows):
+        out[c] = r
+    return tuple(out)
+
+
+def _entries(d: Sequence[int], m: int) -> list[tuple[int, int]]:
+    """The (row, column) positions of the 1s in one diagram's matrix."""
+    tau = diagram_map(d, m)
+    dim = len(tau) - 1
+    return [(r, c) for c, r in enumerate(tau) if r != dim]
 
 
 def element_matrix(
@@ -66,7 +67,7 @@ def element_matrix(
     check_tensor_cap(m, a.n, max_cells)
     acc: dict[tuple[int, int], int] = {}
     for d, coeff in a.terms.items():
-        for key in _diagram_entries(d, m):
+        for key in _entries(d, m):
             val = acc.get(key, 0) + coeff
             if val:
                 acc[key] = val
@@ -86,7 +87,7 @@ def phi_matrix(
     diags = all_diagrams(n)
     entries: dict[tuple[int, int], int] = {}
     for col, d in enumerate(diags):
-        for out_i, in_i in _diagram_entries(d, m):
+        for out_i, in_i in _entries(d, m):
             entries[(out_i * dim + in_i, col)] = 1
     return SparseMatrix(dim * dim, len(diags), entries)
 

@@ -9,9 +9,10 @@ and the squared-dimension count of Specht modules.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from . import specht
-from .caps import DEFAULT_MAX_CELLS
+from .caps import DEFAULT_MAX_CELLS, check_tensor_cap
 from .diagrams import (
     all_diagrams,
     compose_quadruple,
@@ -27,9 +28,8 @@ from .diagrams import (
     reach,
     three_generators,
 )
-from .linalg import SparseMatrix, matmul
 from .reporting import assertion, report
-from .tensor import diagram_matrix, tensor_dim
+from .tensor import diagram_map, tensor_dim
 
 
 def check_counting(n: int) -> dict:
@@ -124,25 +124,33 @@ def check_tensor_homomorphism(
     e = e' g with the claim known for e', then
     phi(d e' g) = phi(d e') phi(g) = phi(d) phi(e') phi(g) = phi(d) phi(e).
     That is |R_n| * 3 products instead of |R_n|^2.
+
+    phi(d) is 0/1 with at most one 1 per column, so it is the partial map
+    ``diagram_map(d, m)`` on basis indices, dim standing for zero.  Column i
+    of phi(d) phi(g) is column phi(g)[i] of phi(d), so the product is the
+    composition i -> phi(d)[phi(g)[i]], one ``itemgetter`` per generator.
     """
+    check_tensor_cap(m, n, max_cells)
     diags = all_diagrams(n)
+    index = diagram_index(n)
     gens = three_generators(n)
-    right = multiplication_maps(diags, (), gens)
+    right = multiplication_maps(index, (), gens)
     one = identity(n)
-    phi = {d: diagram_matrix(d, m, max_cells=max_cells) for d in diags}
+    phi = {d: diagram_map(d, m) for d in diags}
+    times = [itemgetter(*phi[g]) for g in gens]
     bad = [
         {"left": list(d), "right": list(g), "product": list(diags[tau[i]])}
         for i, d in enumerate(diags)
-        for g, tau in zip(gens, right)
-        if matmul(phi[d], phi[g]) != phi[diags[tau[i]]]
+        for g, tau, times_g in zip(gens, right, times)
+        if times_g(phi[d]) != phi[diags[tau[i]]]
     ]
-    reached = len(reach(right, diagram_index(n)[one]))
+    reached = len(reach(right, index[one]))
     order = monoid_order(n)
     dim = tensor_dim(m, n)
     assertions = [
         assertion(
             "the identity acts as the identity matrix",
-            phi[one] == SparseMatrix(dim, dim, {(i, i): 1 for i in range(dim)}),
+            phi[one] == tuple(range(dim + 1)),
         ),
         assertion(
             "generator products reach every diagram",

@@ -43,7 +43,7 @@ from rookmonoid.specht import (
     polytabloid,
     vector_coordinates,
 )
-from rookmonoid.tensor import phi_matrix
+from rookmonoid.tensor import phi_matrix, tensor_dim
 
 
 def transposition(n: int, i: int, j: int) -> Perm:
@@ -99,7 +99,7 @@ def floor_product_failures(
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)
-    right = multiplication_maps(diags, (), gens)
+    right = multiplication_maps(index, (), gens)
     domains: dict[tuple[bool, ...], list[int]] = {}
     for i, d in enumerate(diags):
         domains.setdefault(tuple(map(bool, d)), []).append(i)
@@ -250,6 +250,49 @@ def transpose(m: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
 
 
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.cols} vs {b.rows}")
+    b_rows = b.row_dicts()
+    out: dict[tuple[int, int], Coeff] = {}
+    for (r, k), va in a.entries.items():
+        for c, vb in b_rows.get(k, {}).items():
+            acc = out.get((r, c), 0) + va * vb
+            if acc:
+                out[(r, c)] = acc
+            else:
+                out.pop((r, c), None)
+    return SparseMatrix(a.rows, b.cols, out)
+
+
+def tensor_index(digits: Sequence[int], m: int) -> int:
+    """Big-endian position of a digit string in the tensor power."""
+    out = 0
+    for d in digits:
+        if not 0 <= d <= m:
+            raise ValueError(f"digit {d} outside 0..{m}")
+        out = out * (m + 1) + d
+    return out
+
+
+def diagram_entries(d: Sequence[int], m: int) -> Iterator[tuple[int, int]]:
+    """The (row, column) positions of the 1s in one diagram's matrix, digit
+    by digit: the reference definition of the action for
+    ``tensor.diagram_map``."""
+    hit = set(d) - {0}
+    # isolated bottom vertices only accept digit 0
+    ranges = [range(m + 1) if b in hit else range(1) for b in range(1, len(d) + 1)]
+    for digits in itertools.product(*ranges):
+        out_digits = tuple(digits[b - 1] if b else 0 for b in d)
+        yield tensor_index(out_digits, m), tensor_index(digits, m)
+
+
+def diagram_matrix(d: Sequence[int], m: int) -> SparseMatrix:
+    """The 0/1 matrix of one diagram on the tensor power."""
+    dim = tensor_dim(m, len(d))
+    return SparseMatrix(dim, dim, dict.fromkeys(diagram_entries(d, m), 1))
+
+
 def element_from_coordinates(
     n: int, coords: Mapping[int, Coeff]
 ) -> AlgebraElement:
@@ -283,7 +326,7 @@ def two_sided_ideal_by_saturation(a: AlgebraElement) -> IdealSpan:
         raise ValueError("the zero element generates the zero ideal")
     n = a.n
     gens = generators(n)
-    maps = multiplication_maps(all_diagrams(n), gens, gens)
+    maps = multiplication_maps(diagram_index(n), gens, gens)
     return IdealSpan(saturate(monoid_order(n), maps, [element_coordinates(a)]))
 
 

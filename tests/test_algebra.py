@@ -17,10 +17,14 @@ from rookmonoid.algebra import (
 )
 from rookmonoid.diagrams import (
     all_diagrams,
+    all_permutations,
+    diagram_sign,
     generator,
     identity,
     multiply,
+    perm_sign,
     rank,
+    rank_class,
 )
 from rookmonoid.specht import (
     Tableau,
@@ -131,6 +135,20 @@ def test_antisymmetrizer_signs_match_brute_oracle():
         y = antisymmetrizer(tuple(range(1, n + 1)), n)
         for d, coeff in y.terms.items():
             assert coeff == Fraction(brute_sign(d))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_single_deletion_sign_is_minus_the_cleared_permutations(k):
+    # clearing slot a of w reaches each single-deletion diagram once, and
+    # its diagram_sign (factorize and three lengths) is -sgn(w); the
+    # antisymmetrizer's single-deletion terms carry exactly those signs
+    cleared = {
+        w[:a] + (0,) + w[a + 1 :]: -perm_sign(w) for w in all_permutations(k) for a in range(k)
+    }
+    assert sorted(cleared) == list(rank_class(k, 1))
+    assert all(diagram_sign(d) == s for d, s in cleared.items())
+    y = top_antisymmetrizer(k, k)
+    assert {d: c for d, c in y.terms.items() if rank(d) == k - 1} == cleared
 
 
 def test_symmetrizer_eigen_equations():

@@ -38,11 +38,12 @@ from rookmonoid.groupoid import (
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal, two_sided_ideal
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
-from rookmonoid.tensor import diagram_matrix, element_matrix, tensor_dim
+from rookmonoid.tensor import element_matrix, tensor_dim
 
 import oracles
 from oracles import (
     annihilator_by_phi_kernel,
+    diagram_matrix,
     element_from_coordinates,
     floor_product_failures,
     floor_span,
@@ -333,10 +334,9 @@ def test_a_corrupted_right_map_fails_both_certificates(monkeypatch, fresh_certif
     n, d, g, wrong = 4, (3, 0, 0, 1), (2, 3, 4, 1), (2, 0, 0, 4)
     assert multiply(d, g) == (4, 0, 0, 2)
 
-    def corrupted(elements, left, right):
-        maps = [list(tau) for tau in multiplication_maps(elements, left, right)]
+    def corrupted(index, left, right):
+        maps = [list(tau) for tau in multiplication_maps(index, left, right)]
         if g in right:
-            index = {e: i for i, e in enumerate(elements)}
             maps[len(left) + right.index(g)][index[d]] = index[wrong]
         return tuple(map(tuple, maps))
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rookmonoid.linalg import SpanBasis, SparseMatrix, matmul, nullspace
+from rookmonoid.linalg import SpanBasis, SparseMatrix, nullspace
 
-from oracles import mat_vec, matrix_is_zero, matrix_rank as rank, transpose
+from oracles import mat_vec, matmul, matrix_is_zero, matrix_rank as rank, transpose
 
 
 def dense(rows) -> SparseMatrix:

@@ -11,19 +11,26 @@ from rookmonoid.algebra import (
 )
 from rookmonoid.caps import SizeCapError, phi_entry_count
 from rookmonoid.diagrams import all_diagrams, generator, identity, monoid_order, multiply
-from rookmonoid.linalg import SparseMatrix, matmul, nullspace
+from rookmonoid.linalg import SparseMatrix, nullspace
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
 from rookmonoid.tensor import (
     annihilator_basis,
-    diagram_matrix,
+    diagram_map,
     element_matrix,
     phi_matrix,
     phi_rank,
     tensor_dim,
-    tensor_index,
 )
 
-from oracles import element_from_coordinates, mat_vec, matrix_rank as rank
+from oracles import (
+    diagram_entries,
+    diagram_matrix,
+    element_from_coordinates,
+    mat_vec,
+    matmul,
+    matrix_rank as rank,
+    tensor_index,
+)
 
 
 def test_tensor_dim():
@@ -39,6 +46,21 @@ def test_tensor_index_big_endian():
     assert tensor_index((1, 2), 2) == 5
     with pytest.raises(ValueError):
         tensor_index((3,), 2)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for n in range(1, 6) for m in range(3)] + [(3, n) for n in range(1, 5)]
+)
+def test_diagram_map_matches_the_digit_by_digit_action(m, n):
+    # each column of the reference matrix holds at most one 1, at the row
+    # the map sends it to; the map sends every other column to dim
+    dim = tensor_dim(m, n)
+    for d in all_diagrams(n):
+        expect = [dim] * (dim + 1)
+        for row, col in diagram_entries(d, m):
+            assert expect[col] == dim, (d, col)
+            expect[col] = row
+        assert diagram_map(d, m) == tuple(expect), (m, d)
 
 
 def test_identity_diagram_is_identity_matrix():
@@ -215,7 +237,7 @@ def test_phi_entry_count_matches_phi():
 
 def test_size_cap_refusal():
     with pytest.raises(SizeCapError) as exc:
-        diagram_matrix(identity(12), 9)
+        element_matrix(AlgebraElement.one(12), 9)
     assert "tensor matrix cells" in str(exc.value)
     assert "exceeds the size cap" in str(exc.value)
     with pytest.raises(SizeCapError):
@@ -225,4 +247,4 @@ def test_size_cap_refusal():
         phi_matrix(1, 8)
     assert "phi matrix entries" in str(exc.value)
     # generous cap override allows small cases
-    assert rank(diagram_matrix(identity(2), 1, max_cells=10**9)) == 4
+    assert rank(element_matrix(AlgebraElement.one(2), 1, max_cells=10**9)) == 4

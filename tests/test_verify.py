@@ -1,9 +1,18 @@
 import json
 
+import pytest
+
 from rookmonoid import verify
-from rookmonoid.diagrams import all_diagrams, monoid_order, three_generators, verify_presentation
-from rookmonoid.linalg import SparseMatrix
+from rookmonoid.caps import SizeCapError
+from rookmonoid.diagrams import (
+    all_diagrams,
+    identity,
+    monoid_order,
+    three_generators,
+    verify_presentation,
+)
 from rookmonoid.reporting import jsonable
+from rookmonoid.tensor import tensor_dim
 from rookmonoid.verify import (
     check_counting,
     check_factorization,
@@ -66,23 +75,49 @@ def test_tensor_homomorphism_exhaustive():
 
 
 def test_tensor_homomorphism_catches_a_corrupted_diagram(monkeypatch):
-    # (0, 0, 1) is no generator, so only the products reveal it
+    # (0, 0, 1) is no generator, so only the products reveal it; its
+    # column 1 is zero, and the corruption sends it to row 0
     corrupt = (0, 0, 1)
-    real = verify.diagram_matrix
+    real = verify.diagram_map
+    assert real(corrupt, 1)[1] == tensor_dim(1, 3)
 
-    def broken(d, m, **kwargs):
-        mat = real(d, m, **kwargs)
-        if d == corrupt:
-            mat = SparseMatrix(mat.rows, mat.cols, {**mat.entries, (0, 1): 1})
-        return mat
+    def broken(d, m):
+        tau = real(d, m)
+        return (tau[0], 0, *tau[2:]) if d == corrupt else tau
 
-    monkeypatch.setattr(verify, "diagram_matrix", broken)
+    monkeypatch.setattr(verify, "diagram_map", broken)
     rep = check_tensor_homomorphism(3, 1)
     assert not rep["pass"]
     failed = [a for a in rep["assertions"] if not a["pass"]]
     assert [a["name"] for a in failed] == ["diagram matrices multiply like diagrams"]
     assert any(w["product"] == list(corrupt) for w in failed[0]["witness"])
     assert all(list(corrupt) in (w["left"], w["product"]) for w in failed[0]["witness"])
+
+
+def test_tensor_homomorphism_catches_a_corrupted_identity(monkeypatch):
+    # the identity sends column 1 to zero; the products through it fail too
+    one = identity(3)
+    real = verify.diagram_map
+
+    def broken(d, m):
+        tau = real(d, m)
+        return (tau[0], len(tau) - 1, *tau[2:]) if d == one else tau
+
+    monkeypatch.setattr(verify, "diagram_map", broken)
+    rep = check_tensor_homomorphism(3, 1)
+    assert not rep["pass"]
+    failed = [a["name"] for a in rep["assertions"] if not a["pass"]]
+    assert failed == [
+        "the identity acts as the identity matrix",
+        "diagram matrices multiply like diagrams",
+    ]
+
+
+def test_tensor_homomorphism_refuses_past_the_cap():
+    # phi at (8, 1) has 101,817,089 nonzero entries; refused before any map
+    with pytest.raises(SizeCapError) as exc:
+        check_tensor_homomorphism(8, 1)
+    assert "phi matrix entries" in str(exc.value)
 
 
 def test_factorization_catches_a_wrong_sigma(monkeypatch):
