@@ -5,8 +5,8 @@ product builds one ``diagrams.gather`` per left term and one padded tuple
 per right term, so each of its term pairs costs one C-level gather.  The
 module also builds the distinguished elements the structure theory runs on:
 full symmetrizers and antisymmetrizers over a chosen vertex subset, the
-all-deleting projector, and the quasi-idempotent attached to a tableau,
-expanded or as a list of small factors.
+all-deleting projector, and the quasi-idempotent attached to a tableau, as
+a list of small factors and as their product.
 All of these have integer coefficients, so they are built, and multiply,
 over Python ints; ``Fraction`` coefficients enter only when a caller passes
 a non-integer.
@@ -236,30 +236,27 @@ def top_antisymmetrizer(k: int, n: int) -> AlgebraElement:
 
 
 def tableau_quasi_idempotent(t: specht.Tableau) -> AlgebraElement:
-    """Column antisymmetrizers, then row symmetrizers, then deletion of every
-    vertex missing from the tableau's content.  Nonzero for every tableau."""
-    n = t.n
-    out = AlgebraElement.one(n)
-    for col in specht.column_sets(t):
-        out = out * antisymmetrizer(col, n)
-    for row in t.rows:
-        out = out * symmetrizer(row, n)
-    content = t.content
-    for i in range(1, n + 1):
-        if i not in content:
-            out = out * AlgebraElement.from_diagram(generator(n, "p", i))
+    """e_t: column antisymmetrizers, then row symmetrizers, then deletion of
+    every vertex missing from the tableau's content, multiplied out as the
+    product of ``quasi_idempotent_factors(t)``, which gives the same
+    element.  Nonzero for every tableau."""
+    out = AlgebraElement.one(t.n)
+    for f in quasi_idempotent_factors(t):
+        out = out * f
     return out
 
 
 def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
-    """Factors of ``tableau_quasi_idempotent(t)`` in product order: for each
-    column C the signed permutation sum A_C over C, for each row R the
-    permutation sum P_R over R and then 1 - p_i for each i in R, and last
-    p_i for each vertex missing from the content.  A permutation sum over
-    one vertex is the identity and is left out.  Over k vertices a
-    permutation sum has k! terms, where the row symmetrizer alone has |R_k|.
+    """Factors of e_t in product order: for each column C the signed
+    permutation sum A_C over C, for each row R the permutation sum P_R over
+    R and then 1 - p_i for each i in R, and last p_i for each vertex missing
+    from the content.  A permutation sum over one vertex is the identity and
+    is left out.  Over k vertices a permutation sum has k! terms, where the
+    row symmetrizer alone has |R_k|.
 
-    Their product is e_t.  Rows: symmetrizer(R) = P_R prod_{i in R} (1 - p_i).
+    Their product is e_t, the product of antisymmetrizer(C) over the
+    columns, symmetrizer(R) over the rows and p_i over the missing
+    vertices.  Rows: symmetrizer(R) = P_R prod_{i in R} (1 - p_i).
     Write id_B for the identity on B that deletes the rest of R.  With
     (d1 d2)[a] = d2[d1[a]], pi id_B is pi cut down to the vertices it sends
     into B, so its range is B.  The product over R expands to

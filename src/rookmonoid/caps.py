@@ -58,6 +58,17 @@ def check_tensor_cap(m: int, n: int, max_cells: int) -> None:
     )
 
 
+def check_tensor_map_cap(m: int, n: int, max_cells: int) -> None:
+    """Refuse the tensor homomorphism certificate when the diagram maps it
+    holds, (m+1)^n + 1 entries for each of the |R_n| diagrams, exceed
+    ``max_cells``."""
+    check_cap(
+        f"tensor map entries |R_n| ((m+1)^n + 1) at m={m}, n={n}",
+        monoid_order(n) * ((m + 1) ** n + 1),
+        max_cells,
+    )
+
+
 def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
     """Refuse printing the ``sym`` or ``anti`` element on r of n vertices
     when its JSON has more than ``max_cells`` cells: each term holds a
@@ -72,12 +83,17 @@ def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
 def quasi_idempotent_pairs(shape: Shape, n: int, *after: int) -> int:
     """A bound on the term pairs ``tableau_quasi_idempotent`` multiplies for
     a tableau of the shape, then by factors of ``after`` terms: starting
-    from 1 it multiplies by factors f_i of |f_i| terms, (h+1)! for a column
-    antisymmetrizer on h vertices, |R_k| for a row symmetrizer on k vertices
-    and 1 for each deletion, and the product before f_i has at most
-    min(prod_{j<i} |f_j|, |R_n|) terms."""
-    sizes = [factorial(h + 1) for h in conjugate(tuple(shape))]
-    sizes += [monoid_order(k) for k in shape] + [1] * (n - sum(shape)) + list(after)
+    from 1 it multiplies by the ``quasi_idempotent_factors`` f_i of |f_i|
+    terms, h! for the permutation sum over a column of h >= 2 vertices, k!
+    for that over a row of k >= 2 vertices and then 2 for each of its k
+    factors 1 - p_i, and 1 for each missing vertex, and the product before
+    f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
+    sizes = [factorial(h) for h in conjugate(tuple(shape)) if h > 1]
+    for k in shape:
+        if k > 1:
+            sizes.append(factorial(k))
+        sizes += [2] * k
+    sizes += [1] * (n - sum(shape)) + list(after)
     order = monoid_order(n)
     pairs, terms = 0, 1
     for size in sizes:

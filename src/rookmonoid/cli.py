@@ -257,7 +257,7 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
         ("factorization", verify.check_factorization, sizes, {}, caps.check_order_cap),
         ("one-dimensional-ideals", ideals.check_one_dimensional_ideals, small, {}, None),
         ("tensor-homomorphism", verify.check_tensor_homomorphism, tensor_pairs, capped,
-         caps.check_tensor_cap),
+         caps.check_tensor_map_cap),
         ("faithful", ideals.check_faithful_action, faithful, capped, caps.check_tensor_cap),
         ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), capped,
          caps.check_level_cap),

@@ -21,10 +21,10 @@ out the marked vector.  Its two-sided ideals are read off the characters of
 the Specht modules (``characters``): which irreducibles a module of words
 contains, and which of them an element acts on (``check_annihilator_ideal``).
 
-Two-sided ideals and products of elements are read off the same levels: an
-element's ideal is built from S_k ideals and held in floor coordinates
-(``ideal_of_blocks``), and its products from the blocks' matrix products
-(``level_product``).
+An element's two-sided ideal is read off the same levels: it is built from
+S_k ideals and held in floor coordinates (``ideal_of_blocks``).  Products
+in floor coordinates follow the product rule above, one pair of diagrams at
+a time (``floor_product``).
 """
 
 from __future__ import annotations
@@ -36,17 +36,19 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, Coeff
 from .diagrams import (
     Diagram,
     Perm,
     all_diagrams,
     all_permutations,
     diagram_index,
+    gather,
     generator,
     identity,
     monoid_order,
     multiplication_maps,
+    padded,
     reach,
     three_generators,
 )
@@ -136,6 +138,31 @@ def basis_change_failures(
     unit_holds = sweep(dict.fromkeys(partial_identities, 1), -1) == {one: 1}
     failing = tuple((diags[i], gens[j]) for i, j in sorted(bad))
     return failing, unit_holds, len(diags) * len(gens), len(reached)
+
+
+def floor_product(
+    n: int, x: Mapping[int, Coeff], y: Mapping[int, Coeff]
+) -> dict[int, Coeff]:
+    """The floor coordinates of x y from those of x and y: entry i is the
+    coefficient of floor(``all_diagrams(n)[i]``), and zero entries are left
+    out.  floor(d) floor(e) = floor(d e) when ran d = dom e and 0 otherwise
+    (``basis_change_failures`` certifies it at n), so y's entries are
+    grouped by domain, and each d in x meets the group of ran d.
+    """
+    diags, index = all_diagrams(n), diagram_index(n)
+    after: dict[frozenset[int], list] = {}
+    for j, c in y.items():
+        e = diags[j]
+        dom = frozenset(a for a, b in enumerate(e, start=1) if b)
+        after.setdefault(dom, []).append((padded(e), c))
+    out: dict[int, Coeff] = {}
+    for i, a in x.items():
+        d = diags[i]
+        product = gather(d)
+        for pad, c in after.get(frozenset(d) - {0}, ()):
+            k = index[product(pad)]
+            out[k] = out.get(k, 0) + a * c
+    return {k: c for k, c in out.items() if c}
 
 
 def relabel(t: Sequence[int]) -> Perm:
@@ -362,46 +389,3 @@ def ideal_of_blocks(n: int, blocks: Sequence[Block]) -> SpanBasis:
                 for x in rows:
                     basis.insert({cols[j]: c for j, c in x.items()})
     return basis
-
-
-@lru_cache(maxsize=None)
-def _product_table(k: int) -> tuple[tuple[int, ...], ...]:
-    """Row i maps the index of tau to that of sigma_i tau, indices into
-    ``all_permutations(k)``."""
-    return multiplication_maps(_perm_index(k), all_permutations(k), ())
-
-
-def level_product(x: Sequence[Block], y: Sequence[Block]) -> list[Block]:
-    """The level blocks of a product, from the level blocks x and y of its
-    factors; zero entries are left out, as in ``level_blocks``.
-
-    floor(d) floor(e) = floor(d e) when ran d = dom e and 0 otherwise, and
-    then sigma_(d e) = sigma_d sigma_e, so level by level the blocks
-    multiply as matrices over F S_k: x's (dom, mid) entry meets y's
-    (mid, ran) entry, and their entries multiply through the product table
-    of S_k.
-    """
-    out: list[Block] = []
-    for k, (bx, by) in enumerate(zip(x, y)):
-        product: Block = {}
-        if bx and by:
-            table = _product_table(k)
-            after: dict[tuple[int, ...], list] = {}
-            for (mid, ran), b in by.items():
-                after.setdefault(mid, []).append((ran, b))
-            for (dom, mid), a in bx.items():
-                for ran, b in after.get(mid, ()):
-                    entry = product.setdefault((dom, ran), {})
-                    for i, c in a.items():
-                        row = table[i]
-                        for j, e in b.items():
-                            w = row[j]
-                            entry[w] = entry.get(w, 0) + c * e
-        out.append(
-            {
-                key: kept
-                for key, entry in product.items()
-                if (kept := {w: c for w, c in entry.items() if c})
-            }
-        )
-    return out

@@ -4,10 +4,11 @@ them.
 An ideal is held as an echelon span in floor coordinates: entry i is the
 coefficient of floor(``all_diagrams(n)[i]``) in the groupoid basis.  It is
 built level by level there (``groupoid.ideal_of_blocks``), not by
-saturating under the generators, and products of block representatives are
-read off the same levels (``groupoid.level_product``).  A generator times a
-diagram is a single diagram, so each generator acts on diagram coordinates
-as a precomputed index map, which the one-dimensional ideal check applies.
+saturating under the generators, and two of its basis elements multiply by
+the product rule of that basis (``groupoid.floor_product``).  A generator
+times a diagram is a single diagram, so each generator acts on diagram
+coordinates as a precomputed index map, which the one-dimensional ideal
+check applies.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .algebra import (
 )
 from .caps import DEFAULT_MAX_CELLS, check_level_cap
 from .diagrams import (
-    all_diagrams,
     diagram_index,
     generators,
     is_permutation,
@@ -44,10 +44,9 @@ from .groupoid import (
     basis_change_failures,
     characters,
     content_character,
-    floor_blocks,
+    floor_product,
     ideal_of_blocks,
     level_blocks,
-    level_product,
     missed_words,
     tensor_character,
 )
@@ -212,10 +211,8 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     Both facts are read in the groupoid basis, so its certificate at n comes
     first.  Each block ideal is built from S_k ideals (``two_sided_ideal``),
     and orthogonality multiplies echelon basis elements of distinct blocks
-    through their level blocks (``groupoid.level_product``): every pair for
-    n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that.  Each sampled
-    basis element is grouped into level blocks once, straight from its
-    floor coordinates."""
+    in their floor coordinates (``groupoid.floor_product``): every pair for
+    n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that."""
     exhaustive = n <= 3
     shapes = specht.all_shapes(n)
     blocks = {shape: block_ideal(shape, n) for shape in shapes}
@@ -242,24 +239,15 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
         ),
     ]
 
-    diags = all_diagrams(n)
     rows = {shape: blocks[shape].basis.int_rows() for shape in shapes}
     pairs = block_pairs(
         [(shape, len(rows[shape])) for shape in shapes], None if exhaustive else seed
     )
-    reps: dict[tuple[specht.Shape, int], list] = {}
-
-    def rep(shape: specht.Shape, i: int) -> list:
-        if (shape, i) not in reps:
-            reps[shape, i] = floor_blocks(n, {diags[j]: c for j, c in rows[shape][i].items()})
-        return reps[shape, i]
-
-    bad = []
-    for s1, i, s2, j in pairs:
-        if any(level_product(rep(s1, i), rep(s2, j))):
-            bad.append(
-                {"left": ",".join(map(str, s1)), "right": ",".join(map(str, s2))}
-            )
+    bad = [
+        {"left": ",".join(map(str, s1)), "right": ",".join(map(str, s2))}
+        for s1, i, s2, j in pairs
+        if floor_product(n, rows[s1][i], rows[s2][j])
+    ]
     assertions.append(
         assertion(
             "products across distinct blocks vanish",

@@ -12,7 +12,7 @@ import math
 from operator import itemgetter
 
 from . import specht
-from .caps import DEFAULT_MAX_CELLS, check_tensor_cap
+from .caps import DEFAULT_MAX_CELLS, check_tensor_map_cap
 from .diagrams import (
     all_diagrams,
     compose_quadruple,
@@ -130,7 +130,7 @@ def check_tensor_homomorphism(
     of phi(d) phi(g) is column phi(g)[i] of phi(d), so the product is the
     composition i -> phi(d)[phi(g)[i]], one ``itemgetter`` per generator.
     """
-    check_tensor_cap(m, n, max_cells)
+    check_tensor_map_cap(m, n, max_cells)
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)

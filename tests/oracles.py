@@ -12,7 +12,14 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from rookmonoid.algebra import AlgebraElement, Coeff, element_coordinates, top_antisymmetrizer
+from rookmonoid.algebra import (
+    AlgebraElement,
+    Coeff,
+    antisymmetrizer,
+    element_coordinates,
+    symmetrizer,
+    top_antisymmetrizer,
+)
 from rookmonoid.diagrams import (
     Perm,
     Quadruple,
@@ -21,6 +28,7 @@ from rookmonoid.diagrams import (
     compose_quadruple,
     coset_reps,
     diagram_index,
+    generator,
     generators,
     identity,
     monoid_order,
@@ -40,6 +48,7 @@ from rookmonoid.specht import (
     Tabloid,
     all_tableaux,
     all_tabloids,
+    column_sets,
     polytabloid,
     vector_coordinates,
 )
@@ -158,6 +167,24 @@ def act_on_tabloid_vector_by_terms(a: AlgebraElement, vec: dict) -> dict:
                 image = tuple(tuple(sorted(partner[e] for e in row)) for row in tb)
                 out[image] = out.get(image, 0) + coeff * c
     return {tb: c for tb, c in out.items() if c}
+
+
+def expanded_quasi_idempotent(t: Tableau) -> AlgebraElement:
+    """e_t multiplied out from its definition: the antisymmetrizer of each
+    column, then the symmetrizer of each row, then p_i for each vertex i
+    missing from the content.  The reference for
+    ``algebra.tableau_quasi_idempotent``, which multiplies the smaller
+    ``quasi_idempotent_factors`` instead."""
+    n = t.n
+    out = AlgebraElement.one(n)
+    for col in column_sets(t):
+        out = out * antisymmetrizer(col, n)
+    for row in t.rows:
+        out = out * symmetrizer(row, n)
+    for i in range(1, n + 1):
+        if i not in t.content:
+            out = out * AlgebraElement.from_diagram(generator(n, "p", i))
+    return out
 
 
 def tabloid_of(t: Tableau) -> Tabloid:

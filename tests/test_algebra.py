@@ -38,6 +38,7 @@ from oracles import (
     brute_sign,
     element_from_coordinates,
     element_star,
+    expanded_quasi_idempotent,
     product_by_terms,
     transposition,
 )
@@ -284,18 +285,24 @@ def test_symmetrizers_factor_into_permutation_sums_and_deletion_factors():
 
 
 def test_quasi_idempotent_factors_multiply_to_the_quasi_idempotent():
-    for n in range(1, 5):
-        for shape in all_shapes(n):
-            for t in all_tableaux(shape, n):
-                factors = quasi_idempotent_factors(t)
-                product = AlgebraElement.one(n)
-                for f in factors:
-                    product = product * f
-                assert product == tableau_quasi_idempotent(t), t
-                # no factor is a full symmetrizer: k! terms over a row or
-                # column of k vertices, or a deletion factor of at most n + 1
-                longest = max(shape + (len(shape),))
-                assert all(len(f.terms) <= max(factorial(longest), n + 1) for f in factors)
+    # every tableau at n <= 4, the row- and column-filled ones at n = 5
+    cases = [t for n in range(1, 5) for shape in all_shapes(n) for t in all_tableaux(shape, n)]
+    cases += [
+        fill(shape, 5)
+        for shape in all_shapes(5)
+        for fill in (row_filled_tableau, column_filled_tableau)
+    ]
+    for t in cases:
+        factors = quasi_idempotent_factors(t)
+        product = AlgebraElement.one(t.n)
+        for f in factors:
+            product = product * f
+        assert product == expanded_quasi_idempotent(t), t
+        assert tableau_quasi_idempotent(t) == product, t
+        # no factor is a full symmetrizer: k! terms over a row or column of
+        # k vertices, or a deletion factor of at most n + 1
+        longest = max(t.shape + (len(t.shape),))
+        assert all(len(f.terms) <= max(factorial(longest), t.n + 1) for f in factors)
 
 
 def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
@@ -305,7 +312,7 @@ def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
         for shape in all_shapes(n):
             for t in all_tableaux(shape, n):
                 factors = quasi_idempotent_factors(t)
-                expected = tableau_quasi_idempotent(t)
+                expected = expanded_quasi_idempotent(t)
                 for i in range(len(factors)):
                     product = AlgebraElement.one(n)
                     for f in factors[:i] + factors[i + 1 :]:

@@ -296,15 +296,16 @@ def test_every_guarded_command_refuses_n99_at_once(argv, capsys):
 
 @pytest.mark.parametrize("argv, quantity", [
     (["verify-lemma-3-10", "--n", "6"], "tableau-tabloid pairs at n=6 = 61279545"),
-    (["verify-lemma-4-4", "--n", "6", "--m", "3"], "absorption term pairs at m=3, n=6 = 10376822"),
+    (["verify-lemma-4-4", "--n", "6", "--m", "4"], "absorption term pairs at m=4, n=6 = 12402240"),
 ])
 def test_lemma_guards_refuse_what_they_count(argv, quantity, capsys):
-    # n = 5 and (2, 6) pass; the absorption count at (3, 6) is whole, since
-    # its last shape is the one that takes it past the cap
+    # n = 5, (2, 6) and (3, 6) pass; the absorption count at (4, 6) stops at
+    # the shape that takes it past the cap, short of its whole 22,069,694
     assert main(argv) == 3
     assert quantity in capsys.readouterr().err
     check_orthogonality_cap(5)
     check_absorption_cap(2, 6)
+    check_absorption_cap(3, 6)
     assert main(["verify-lemma-4-4", "--n", "3", "--m", "1"]) == 0
     # the guard visits every shape with more than m rows: one pair short of
     # the whole count, it refuses on the last shape with the whole count
@@ -492,19 +493,21 @@ def test_e_element_refuses_n8(capsys):
     elapsed = time.monotonic() - started
     captured = capsys.readouterr()
     assert code == 3
-    assert "quasi-idempotent term pairs at shape (8), n=8 = 369083134" in captured.err
+    assert "quasi-idempotent term pairs at shape (8), n=8 = 10887556" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
 
 
 def test_e_element_guard_admits_n6():
-    # (6) at n = 6: six one-vertex antisymmetrizers of 2 terms each, then
-    # 64 * 13327 pairs with the row symmetrizer; not run, only guarded
+    # (6) at n = 6: the 720-term permutation sum of the row, then its six
+    # factors 1 - p_i of 2 terms, the last product capped at |R_6| = 13327
+    # terms; not run, only guarded
     check_quasi_idempotent_cap((6,), 6, DEFAULT_MAX_CELLS)
     with pytest.raises(SizeCapError) as exc:
-        check_quasi_idempotent_cap((6,), 6, 853_053)
-    assert exc.value.value == 853_054
-    assert quasi_idempotent_pairs((7,), 7) == 16_758_270 > DEFAULT_MAX_CELLS
+        check_quasi_idempotent_cap((6,), 6, 72_013)
+    assert exc.value.value == 72_014 == 720 + 2 * (720 + 1440 + 2880 + 5760 + 11520 + 13327)
+    check_quasi_idempotent_cap((7,), 7, DEFAULT_MAX_CELLS)
+    assert quasi_idempotent_pairs((7,), 7) == 841_208
 
 
 def test_quasi_idempotent_bound_covers_counted_pairs(monkeypatch):
@@ -516,14 +519,21 @@ def test_quasi_idempotent_bound_covers_counted_pairs(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counting_mul)
+    exact = set()
     for n in range(1, 6):
         for shape in all_shapes(n):
             for fill in (row_filled_tableau, column_filled_tableau):
                 pairs.clear()
                 tableau_quasi_idempotent(fill(shape, n))
                 assert sum(pairs) <= quasi_idempotent_pairs(shape, n), (shape, n)
-                if shape == (n,):  # the bound is exact on one-row shapes
-                    assert sum(pairs) == quasi_idempotent_pairs(shape, n)
+                if sum(pairs) == quasi_idempotent_pairs(shape, n):
+                    exact.add((shape, n, fill))
+    # the bound is exact, for both fillings, while no product merges terms:
+    # the shapes () and (1) at every n, and (2) and (1, 1) at n = 2
+    small = [((), n) for n in range(1, 6)] + [((1,), n) for n in range(1, 6)]
+    small += [((2,), 2), ((1, 1), 2)]
+    fills = (row_filled_tableau, column_filled_tableau)
+    assert exact == {(shape, n, fill) for shape, n in small for fill in fills}
 
 
 def test_usage_error_bad_diagram(capsys):

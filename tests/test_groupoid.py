@@ -17,6 +17,7 @@ from rookmonoid.algebra import (
 )
 from rookmonoid.diagrams import (
     all_diagrams,
+    diagram_index,
     identity,
     monoid_order,
     multiplication_maps,
@@ -27,10 +28,10 @@ from rookmonoid.groupoid import (
     balanced,
     basis_change_failures,
     floor_blocks,
+    floor_product,
     growth_words,
     level_blocks,
     level_ideal,
-    level_product,
     missed_words,
     relabel,
     sweep,
@@ -469,15 +470,21 @@ def test_level_ideal_matches_the_saturation_on_drawn_elements(pair):
             assert two_sided_ideal(a).basis == _saturated_floors(a)
 
 
+def _floor_coordinates(a):
+    """The zeta ``sweep`` of an element, keyed by diagram index."""
+    index = diagram_index(a.n)
+    return {index[t]: c for t, c in sweep(a.terms, 1).items()}
+
+
 def _check_product(x, y):
-    got = level_product(level_blocks(x), level_blocks(y))
+    got = floor_product(x.n, _floor_coordinates(x), _floor_coordinates(y))
     product = x * y
-    assert got == level_blocks(product), (x, y)
-    assert (not any(got)) == product.is_zero(), (x, y)
+    assert got == _floor_coordinates(product), (x, y)
+    assert (not got) == product.is_zero(), (x, y)
     return product.is_zero()
 
 
-def test_level_product_matches_the_product_of_block_elements():
+def test_floor_product_matches_the_product_of_block_elements():
     # two echelon rows of one block ideal often multiply to nonzero, rows of
     # distinct blocks never; the full projector lives on level 0 alone.  The
     # rows are the saturation oracle's, in diagram coordinates, of the same
@@ -497,7 +504,7 @@ def test_level_product_matches_the_product_of_block_elements():
 
 @settings(max_examples=200, deadline=None)
 @given(element_pair(4))
-def test_level_product_matches_the_product_on_drawn_elements(pair):
+def test_floor_product_matches_the_product_on_drawn_elements(pair):
     _check_product(*pair)
 
 

@@ -32,7 +32,7 @@ from rookmonoid import specht
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
 from rookmonoid.tensor import annihilator_basis
 
-from oracles import floor_span, two_sided_ideal_exhaustive
+from oracles import expanded_quasi_idempotent, floor_span, two_sided_ideal_exhaustive
 
 
 def _floors(a):
@@ -218,7 +218,7 @@ def test_acting_factor_by_factor_matches_the_expanded_quasi_idempotent():
     nonzero = 0
     for t in cases:
         n = t.n
-        expanded = specht.partner_terms(tableau_quasi_idempotent(t))
+        expanded = specht.partner_terms(expanded_quasi_idempotent(t))
         factors = [specht.partner_terms(f) for f in quasi_idempotent_factors(t)]
         for shape in all_shapes(n):
             tabloids = specht.all_tabloids(shape, n)

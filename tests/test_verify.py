@@ -114,10 +114,23 @@ def test_tensor_homomorphism_catches_a_corrupted_identity(monkeypatch):
 
 
 def test_tensor_homomorphism_refuses_past_the_cap():
-    # phi at (8, 1) has 101,817,089 nonzero entries; refused before any map
+    # the maps at (8, 1) hold 1,441,729 * 257 entries; refused before any map
     with pytest.raises(SizeCapError) as exc:
         check_tensor_homomorphism(8, 1)
-    assert "phi matrix entries" in str(exc.value)
+    assert "tensor map entries" in str(exc.value)
+
+
+def test_tensor_homomorphism_refuses_the_map_entries_at_once(monkeypatch):
+    # (7, 1): phi has 5.1M nonzero entries, but the 130,922 maps of 2^7 + 1
+    # entries each hold 16,888,938
+    def no_map(d, m):
+        raise AssertionError("a diagram map was built past the cap")
+
+    monkeypatch.setattr(verify, "diagram_map", no_map)
+    with pytest.raises(SizeCapError) as exc:
+        check_tensor_homomorphism(7, 1)
+    assert exc.value.value == monoid_order(7) * (2**7 + 1) == 16_888_938
+    assert "tensor map entries |R_n| ((m+1)^n + 1) at m=1, n=7" in str(exc.value)
 
 
 def test_factorization_catches_a_wrong_sigma(monkeypatch):
