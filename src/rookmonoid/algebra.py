@@ -250,9 +250,19 @@ def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
     """Factors of e_t in product order: for each column C the signed
     permutation sum A_C over C, for each row R the permutation sum P_R over
     R and then 1 - p_i for each i in R, and last p_i for each vertex missing
-    from the content.  A permutation sum over one vertex is the identity and
-    is left out.  Over k vertices a permutation sum has k! terms, where the
-    row symmetrizer alone has |R_k|.
+    from the content.  Each permutation sum is written as its Jucys-Murphy
+    chain, so a factor has at most max(k, 2) terms for the longest row or
+    column of k vertices.
+
+    Chains: over l_1 < ... < l_k, with L_j the sum of the transpositions
+    (l_i l_j) for i < j, the sum of the permutations of the l_i is
+    (1 + L_2)(1 + L_3) ... (1 + L_k), and the signed sum is
+    (1 - L_2) ... (1 - L_k) (Jucys).  By induction on j, with S_j the
+    permutations of l_1 .. l_j: S_j is the disjoint union of S_(j-1) and
+    the cosets S_(j-1) (l_i l_j) for i < j, since w = sigma (l_i l_j) with
+    sigma in S_(j-1) has w[l_j] = l_i, so the j cosets are disjoint and
+    hold j (j-1)! permutations; and sgn(sigma (l_i l_j)) = -sgn(sigma).  A
+    permutation sum over one vertex is the identity and has no factor.
 
     Their product is e_t, the product of antisymmetrizer(C) over the
     columns, symmetrizer(R) over the rows and p_i over the missing
@@ -278,17 +288,21 @@ def quasi_idempotent_factors(t: specht.Tableau) -> list[AlgebraElement]:
     n = t.n
     one = identity(n)
 
-    def permutation_sum(subset, signed: bool) -> list[AlgebraElement]:
-        if len(subset) < 2:
-            return []
-        labels = _subset_labels(subset, n)
-        return [AlgebraElement(n, _permutation_terms(labels, n, signed=signed))]
+    def chain(subset, sign: int) -> list[AlgebraElement]:
+        labels = sorted(subset)
+        out = []
+        for j in range(1, len(labels)):
+            terms = {one: 1}
+            for i in range(j):
+                terms[_embed((2, 1), (labels[i], labels[j]), n)] = sign
+            out.append(AlgebraElement(n, terms))
+        return out
 
     factors = []
     for col in specht.column_sets(t):
-        factors += permutation_sum(col, True)
+        factors += chain(col, -1)
     for row in t.rows:
-        factors += permutation_sum(row, False)
+        factors += chain(row, 1)
         factors += [AlgebraElement(n, {one: 1, generator(n, "p", i): -1}) for i in row]
     content = t.content
     factors += [

@@ -84,15 +84,13 @@ def quasi_idempotent_pairs(shape: Shape, n: int, *after: int) -> int:
     """A bound on the term pairs ``tableau_quasi_idempotent`` multiplies for
     a tableau of the shape, then by factors of ``after`` terms: starting
     from 1 it multiplies by the ``quasi_idempotent_factors`` f_i of |f_i|
-    terms, h! for the permutation sum over a column of h >= 2 vertices, k!
-    for that over a row of k >= 2 vertices and then 2 for each of its k
-    factors 1 - p_i, and 1 for each missing vertex, and the product before
-    f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
-    sizes = [factorial(h) for h in conjugate(tuple(shape)) if h > 1]
+    terms, 2, 3, .., h for the Jucys-Murphy chain over a column of h
+    vertices, 2, 3, .., k for that over a row of k vertices and then 2 for
+    each of its k factors 1 - p_i, and 1 for each missing vertex, and the
+    product before f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
+    sizes = [size for h in conjugate(tuple(shape)) for size in range(2, h + 1)]
     for k in shape:
-        if k > 1:
-            sizes.append(factorial(k))
-        sizes += [2] * k
+        sizes += list(range(2, k + 1)) + [2] * k
     sizes += [1] * (n - sum(shape)) + list(after)
     order = monoid_order(n)
     pairs, terms = 0, 1
@@ -151,12 +149,15 @@ def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
 
 def check_orthogonality_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     """Refuse ``check_specht_orthogonality`` when the tableaux it lists,
-    C(n,r) r! per shape of r boxes, times the tabloids its Specht bases run
-    over exceed ``max_cells``.  The monoid order goes first only so that an
-    absurd n is refused before its shapes are listed."""
+    C(n,r) r! per shape of r boxes, plus the entries of the tabloid maps it
+    holds, one per tabloid of every shape for each of the identity, the
+    C(n,2) transpositions and the n deletions, exceed ``max_cells``.  The
+    monoid order goes first only so that an absurd n is refused before its
+    shapes are listed."""
     check_order_cap(n, max_cells)
     tableaux = sum(comb(n, sum(s)) * factorial(sum(s)) for s in all_shapes(n))
-    check_cap(f"tableau-tabloid pairs at n={n}", tableaux * tabloid_count(n), max_cells)
+    entries = (comb(n, 2) + n + 1) * tabloid_count(n)
+    check_cap(f"tableaux plus tabloid map entries at n={n}", tableaux + entries, max_cells)
 
 
 def standard_tableaux(shape: Shape) -> int:

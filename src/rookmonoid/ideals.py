@@ -264,8 +264,9 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
 
 def _act_by_factors(factors, vec: dict) -> dict:
     """Apply the element whose factors (in product order) have the
-    ``partner_terms`` in ``factors`` to a tabloid vector, right factor
-    first, stopping at the first zero vector."""
+    (``specht.tabloid_map``, coefficient) pairs in ``factors`` to an
+    index-keyed tabloid vector, right factor first, stopping at the first
+    zero vector."""
     for terms in reversed(factors):
         if not vec:
             break
@@ -281,26 +282,33 @@ def check_specht_orthogonality(
 
     Each quasi-idempotent acts on the echelon basis of each Specht module,
     which it kills exactly when it kills the module.  It acts one factor of
-    ``quasi_idempotent_factors`` at a time, right factor first: permutation
-    sums over a row or column, and deletion factors that only filter a
-    tabloid, never the expanded e_t with its |R_k|-term row
-    symmetrizers.  A shape's tableaux are sampled (seeded) only when it has
-    more than ``sample_tableaux`` of them, which must be at least 1.
+    ``quasi_idempotent_factors`` at a time, right factor first: the
+    Jucys-Murphy chains of the rows and columns, whose terms are the
+    identity and transpositions, and deletion factors that only filter a
+    tabloid, never the expanded e_t with its |R_k|-term row symmetrizers.
+    Each term acts through its ``specht.tabloid_map``, built once per call
+    for each (diagram, shape): only the identity, the C(n,2) transpositions
+    and the n deletions occur.  A shape's tableaux are sampled (seeded)
+    only when it has more than ``sample_tableaux`` of them, which must be
+    at least 1.
     """
     if sample_tableaux < 1:
         raise ValueError(f"need sample_tableaux >= 1, got {sample_tableaux}")
     shapes = specht.all_shapes(n)
     rng = random.Random(seed)
-    bases = {}
-    for shape in shapes:
-        tabloids = specht.all_tabloids(shape, n)
-        bases[shape] = [
-            {tabloids[i]: c for i, c in row.items()}
-            for row in specht.specht_basis(shape, n).int_rows()
-        ]
+    bases = {shape: specht.specht_basis(shape, n).int_rows() for shape in shapes}
+    maps: dict = {}
 
-    def factors(t: specht.Tableau) -> list:
-        return [specht.partner_terms(f) for f in quasi_idempotent_factors(t)]
+    def kills(factors, shape) -> bool:
+        """Whether the element with these factors kills the Specht module of
+        ``shape``."""
+        e_t = []
+        for f in factors:
+            for d in f.terms:
+                if (d, shape) not in maps:
+                    maps[d, shape] = specht.tabloid_map(d, shape, n)
+            e_t.append([(maps[d, shape], c) for d, c in f.terms.items()])
+        return not any(_act_by_factors(e_t, vec) for vec in bases[shape])
 
     assertions = []
     for shape in shapes:
@@ -309,11 +317,9 @@ def check_specht_orthogonality(
             tableaux = rng.sample(tableaux, sample_tableaux)
         bad = []
         for t in tableaux:
-            e_t = factors(t)
+            e_t = quasi_idempotent_factors(t)
             for other in shapes:
-                if other != shape and any(
-                    _act_by_factors(e_t, vec) for vec in bases[other]
-                ):
+                if other != shape and not kills(e_t, other):
                     bad.append(
                         {
                             "tableau": [list(r) for r in t.rows],
@@ -328,8 +334,8 @@ def check_specht_orthogonality(
                 bad[:3] if bad else {"tableaux_checked": len(tableaux)},
             )
         )
-        e_canon = factors(specht.row_filled_tableau(shape, n))
-        survives = any(_act_by_factors(e_canon, vec) for vec in bases[shape])
+        canonical = specht.row_filled_tableau(shape, n)
+        survives = not kills(quasi_idempotent_factors(canonical), shape)
         assertions.append(
             assertion(f"shape ({label}) is not killed by its own quasi-idempotent", survives)
         )

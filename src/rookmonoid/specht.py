@@ -6,7 +6,9 @@ smaller than n: a tableau of that shape holds r distinct entries drawn from
 reordering within rows, stored with sorted rows.  Diagrams act by renaming
 entries along their edges; an entry sitting on an isolated bottom vertex of
 the diagram kills the tableau, and the distinguished result for that case is
-``None``.
+``None``.  On tabloid indices a diagram acts as an index map
+(``tabloid_map``), whose sentinel for a killed tabloid is the number of
+tabloids, and vectors of the permutation module are keyed by tabloid index.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import diagrams
 from .linalg import SpanBasis, saturate
 
 if TYPE_CHECKING:
-    from .algebra import AlgebraElement, Coeff
+    from .algebra import Coeff
 
 Shape = tuple[int, ...]
 Tabloid = tuple[tuple[int, ...], ...]
@@ -185,24 +187,31 @@ def act_on_tabloid(partner: tuple[int, ...], tb: Tabloid) -> Tabloid | None:
     return tuple(rows)
 
 
-def partner_terms(a: AlgebraElement) -> list[tuple[tuple[int, ...], Coeff]]:
-    """The ``partner_map`` of each term of ``a``, with its coefficient.
-    Build it once per element and pass it to ``act_on_tabloid_vector``."""
-    return [(partner_map(d), c) for d, c in a.terms.items()]
+def tabloid_map(d: Sequence[int], shape: Shape, n: int) -> tuple[int, ...]:
+    """The diagram d as a map on the indices of ``all_tabloids(shape, n)``:
+    entry i is the index of d applied to tabloid i, or ``len(tabloids)``
+    when d kills it."""
+    partner = partner_map(d)
+    index = tabloid_index(shape, n)
+    dead = len(index)
+    images = (act_on_tabloid(partner, tb) for tb in all_tabloids(shape, n))
+    return tuple(dead if image is None else index[image] for image in images)
 
 
 def act_on_tabloid_vector(
-    terms: Sequence[tuple[tuple[int, ...], Coeff]], vec: dict[Tabloid, Coeff]
-) -> dict[Tabloid, Coeff]:
-    """Extend the tabloid action linearly to the algebra element whose
-    ``partner_terms`` are ``terms``."""
-    out: dict[Tabloid, Coeff] = {}
-    for partner, coeff in terms:
-        for tb, c in vec.items():
-            image = act_on_tabloid(partner, tb)
-            if image is not None:
-                out[image] = out.get(image, 0) + coeff * c
-    return {tb: c for tb, c in out.items() if c}
+    terms: Sequence[tuple[tuple[int, ...], Coeff]], vec: dict[int, Coeff]
+) -> dict[int, Coeff]:
+    """Extend the tabloid action linearly to the algebra element whose terms
+    are the (``tabloid_map``, coefficient) pairs in ``terms``, acting on a
+    vector keyed by tabloid index."""
+    out: dict[int, Coeff] = {}
+    for tau, coeff in terms:
+        dead = len(tau)
+        for i, c in vec.items():
+            j = tau[i]
+            if j != dead:
+                out[j] = out.get(j, 0) + coeff * c
+    return {j: c for j, c in out.items() if c}
 
 
 def polytabloid(t: Tableau) -> dict[Tabloid, int]:
@@ -237,12 +246,7 @@ def vector_coordinates(
 
 def _swap_maps(shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
     """Index maps of the adjacent swaps s_1 .. s_n-1 on ``all_tabloids``."""
-    tabloids = all_tabloids(shape, n)
-    index = tabloid_index(shape, n)
-    return tuple(
-        tuple(index[act_on_tabloid(partner, tb)] for tb in tabloids)
-        for partner in (partner_map(diagrams.generator(n, "s", i)) for i in range(1, n))
-    )
+    return tuple(tabloid_map(diagrams.generator(n, "s", i), shape, n) for i in range(1, n))
 
 
 @lru_cache(maxsize=None)

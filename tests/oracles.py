@@ -158,7 +158,8 @@ def product_by_terms(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def act_on_tabloid_vector_by_terms(a: AlgebraElement, vec: dict) -> dict:
     """Each term of a renames the entries of each tabloid to their top
     partners, dropping a tabloid with an entry on an isolated bottom vertex;
-    the reference for ``specht.act_on_tabloid_vector``."""
+    the reference for ``specht.act_on_tabloid_vector``, which acts on
+    tabloid indices (compare through ``specht.vector_coordinates``)."""
     out: dict = {}
     for d, coeff in a.terms.items():
         partner = {b: top for top, b in enumerate(d, start=1) if b}

@@ -1,6 +1,5 @@
 import itertools
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,10 +298,10 @@ def test_quasi_idempotent_factors_multiply_to_the_quasi_idempotent():
             product = product * f
         assert product == expanded_quasi_idempotent(t), t
         assert tableau_quasi_idempotent(t) == product, t
-        # no factor is a full symmetrizer: k! terms over a row or column of
-        # k vertices, or a deletion factor of at most n + 1
+        # no factor is a permutation sum: a chain factor has at most k terms
+        # over a row or column of k vertices, and a deletion factor at most 2
         longest = max(t.shape + (len(t.shape),))
-        assert all(len(f.terms) <= max(factorial(longest), t.n + 1) for f in factors)
+        assert all(len(f.terms) <= max(longest, 2) for f in factors)
 
 
 def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
@@ -319,7 +318,26 @@ def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
                         product = product * f
                     assert product != expected, (t, i)
                     cases += 1
-    assert cases == 1402
+    assert cases == 1606
+
+
+def test_each_chain_multiplies_to_the_permutation_sum():
+    # a row's factors open with its Jucys-Murphy chain, the k - 1 factors
+    # 1 + L_j, and a column's with 1 - L_j; the entries are listed
+    # descending, so the chain must sort them
+    for n in range(1, 7):
+        one = AlgebraElement.one(n)
+        for k in range(1, n + 1):
+            entries = tuple(range(n, n - k, -1))
+            row = Tableau((k,), n, (entries,))
+            column = Tableau((1,) * k, n, tuple((e,) for e in entries))
+            for t, signed in ((row, False), (column, True)):
+                chain = quasi_idempotent_factors(t)[: k - 1]
+                assert [len(f.terms) for f in chain] == list(range(2, k + 1)), t
+                product = one
+                for f in chain:
+                    product = product * f
+                assert product == _permutation_sum(sorted(entries), n, signed=signed), t
 
 
 def test_coordinates_roundtrip():

@@ -295,15 +295,15 @@ def test_every_guarded_command_refuses_n99_at_once(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, quantity", [
-    (["verify-lemma-3-10", "--n", "6"], "tableau-tabloid pairs at n=6 = 61279545"),
-    (["verify-lemma-4-4", "--n", "6", "--m", "4"], "absorption term pairs at m=4, n=6 = 12402240"),
-])
+    (["verify-lemma-3-10", "--n", "8"], "tableaux plus tabloid map entries at n=8 = 11017431"),
+    (["verify-lemma-4-4", "--n", "6", "--m", "4"], "absorption term pairs at m=4, n=6 = 12402304"),
+], ids=["verify-lemma-3-10", "verify-lemma-4-4"])
 def test_lemma_guards_refuse_what_they_count(argv, quantity, capsys):
-    # n = 5, (2, 6) and (3, 6) pass; the absorption count at (4, 6) stops at
-    # the shape that takes it past the cap, short of its whole 22,069,694
+    # n = 7, (2, 6) and (3, 6) pass; the absorption count at (4, 6) stops at
+    # the shape that takes it past the cap, short of its whole 22,069,910
     assert main(argv) == 3
     assert quantity in capsys.readouterr().err
-    check_orthogonality_cap(5)
+    check_orthogonality_cap(7)
     check_absorption_cap(2, 6)
     check_absorption_cap(3, 6)
     assert main(["verify-lemma-4-4", "--n", "3", "--m", "1"]) == 0
@@ -493,21 +493,22 @@ def test_e_element_refuses_n8(capsys):
     elapsed = time.monotonic() - started
     captured = capsys.readouterr()
     assert code == 3
-    assert "quasi-idempotent term pairs at shape (8), n=8 = 10887556" in captured.err
+    assert "quasi-idempotent term pairs at shape (8), n=8 = 10893468" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
 
 
 def test_e_element_guard_admits_n6():
-    # (6) at n = 6: the 720-term permutation sum of the row, then its six
-    # factors 1 - p_i of 2 terms, the last product capped at |R_6| = 13327
-    # terms; not run, only guarded
+    # (6) at n = 6: the row's Jucys-Murphy chain of 2, 3, .., 6 terms, which
+    # reaches 720 terms, then its six factors 1 - p_i of 2 terms, the last
+    # product capped at |R_6| = 13327 terms; not run, only guarded
     check_quasi_idempotent_cap((6,), 6, DEFAULT_MAX_CELLS)
     with pytest.raises(SizeCapError) as exc:
-        check_quasi_idempotent_cap((6,), 6, 72_013)
-    assert exc.value.value == 72_014 == 720 + 2 * (720 + 1440 + 2880 + 5760 + 11520 + 13327)
+        check_quasi_idempotent_cap((6,), 6, 72_165)
+    chain = 2 + 6 + 24 + 120 + 720
+    assert exc.value.value == 72_166 == chain + 2 * (720 + 1440 + 2880 + 5760 + 11520 + 13327)
     check_quasi_idempotent_cap((7,), 7, DEFAULT_MAX_CELLS)
-    assert quasi_idempotent_pairs((7,), 7) == 841_208
+    assert quasi_idempotent_pairs((7,), 7) == 842_080
 
 
 def test_quasi_idempotent_bound_covers_counted_pairs(monkeypatch):

@@ -32,7 +32,12 @@ from rookmonoid import specht
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
 from rookmonoid.tensor import annihilator_basis
 
-from oracles import expanded_quasi_idempotent, floor_span, two_sided_ideal_exhaustive
+from oracles import (
+    act_on_tabloid_vector_by_terms,
+    expanded_quasi_idempotent,
+    floor_span,
+    two_sided_ideal_exhaustive,
+)
 
 
 def _floors(a):
@@ -218,14 +223,18 @@ def test_acting_factor_by_factor_matches_the_expanded_quasi_idempotent():
     nonzero = 0
     for t in cases:
         n = t.n
-        expanded = specht.partner_terms(expanded_quasi_idempotent(t))
-        factors = [specht.partner_terms(f) for f in quasi_idempotent_factors(t)]
+        expanded = expanded_quasi_idempotent(t)
         for shape in all_shapes(n):
             tabloids = specht.all_tabloids(shape, n)
+            factors = [
+                [(specht.tabloid_map(d, shape, n), c) for d, c in f.terms.items()]
+                for f in quasi_idempotent_factors(t)
+            ]
             for row in specht.specht_basis(shape, n).int_rows():
+                got = ideals._act_by_factors(factors, row)
                 vec = {tabloids[i]: c for i, c in row.items()}
-                got = ideals._act_by_factors(factors, vec)
-                assert got == specht.act_on_tabloid_vector(expanded, vec), (t, shape, row)
+                want = act_on_tabloid_vector_by_terms(expanded, vec)
+                assert got == specht.vector_coordinates(want, shape, n), (t, shape, row)
                 nonzero += bool(got)
     assert nonzero > 0
 

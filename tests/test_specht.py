@@ -24,12 +24,13 @@ from rookmonoid.specht import (
     is_shape,
     partitions_of,
     partner_map,
-    partner_terms,
     polytabloid,
     row_filled_tableau,
     specht_basis,
     specht_dimension,
     tabloid_index,
+    tabloid_map,
+    vector_coordinates,
 )
 
 from oracles import (
@@ -149,6 +150,30 @@ def test_act_on_tabloid_matches_tableau_action():
                 assert via_tabloid == tabloid_of(via_tableau)
 
 
+def test_tabloid_map_matches_act_on_tabloid():
+    # every diagram on every shape at n <= 4, a killed tabloid going to the
+    # sentinel len(tabloids)
+    killed = 0
+    for n in range(1, 5):
+        for shape in all_shapes(n):
+            tabloids = all_tabloids(shape, n)
+            for d in all_diagrams(n):
+                tau = tabloid_map(d, shape, n)
+                assert len(tau) == len(tabloids)
+                for tb, j in zip(tabloids, tau):
+                    image = act_on_tabloid(partner_map(d), tb)
+                    if image is None:
+                        assert j == len(tabloids), (d, tb)
+                        killed += 1
+                    else:
+                        assert tabloids[j] == image, (d, tb)
+    assert killed > 0
+
+
+def _terms(a, shape, n):
+    return [(tabloid_map(d, shape, n), c) for d, c in a.terms.items()]
+
+
 def test_action_agrees_with_factorized_permutation():
     # when no entry is killed, a diagram renames entries exactly like the
     # permutation part of its canonical factorization
@@ -176,16 +201,15 @@ def test_tabloid_vector_action_is_left_module():
     # entries are renamed through star, so (d1 d2).v == d1.(d2.v)
     n = 3
     shape = (2,)
-    tabs = all_tabloids(shape, n)
-    vec = {tb: Fraction(i + 1) for i, tb in enumerate(tabs)}
+    vec = {i: Fraction(i + 1) for i in range(len(all_tabloids(shape, n)))}
     diagrams = all_diagrams(n)
     for d1 in diagrams[::5]:
         for d2 in diagrams[::7]:
             a1 = AlgebraElement.from_diagram(d1)
             a2 = AlgebraElement.from_diagram(d2)
-            lhs = act_on_tabloid_vector(partner_terms(a1 * a2), vec)
+            lhs = act_on_tabloid_vector(_terms(a1 * a2, shape, n), vec)
             rhs = act_on_tabloid_vector(
-                partner_terms(a1), act_on_tabloid_vector(partner_terms(a2), vec)
+                _terms(a1, shape, n), act_on_tabloid_vector(_terms(a2, shape, n), vec)
             )
             assert lhs == rhs
 
@@ -256,16 +280,14 @@ def test_wedderburn_sum_of_squares():
 
 def test_specht_module_is_invariant():
     # acting on a polytabloid lands back in the span of polytabloids
-    from rookmonoid.specht import vector_coordinates
-
     n = 3
     for shape in ((2,), (1, 1), (2, 1), (1,), ()):
         basis = specht_basis(shape, n)
         for t in all_tableaux(shape, n):
-            e = polytabloid(t)
+            e = vector_coordinates(polytabloid(t), shape, n)
             for d in all_diagrams(n)[::3]:
-                moved = act_on_tabloid_vector(partner_terms(AlgebraElement.from_diagram(d)), e)
-                assert basis.contains(vector_coordinates(moved, shape, n))
+                moved = act_on_tabloid_vector([(tabloid_map(d, shape, n), 1)], e)
+                assert basis.contains(moved)
 
 
 def test_tabloid_vector_action_matches_term_by_term_oracle():
@@ -275,8 +297,9 @@ def test_tabloid_vector_action_matches_term_by_term_oracle():
         elements += [tableau_quasi_idempotent(row_filled_tableau(s, n)) for s in shapes]
         for shape in shapes:
             tabloids = all_tabloids(shape, n)
-            for row in specht_basis(shape, n).int_rows():
-                vec = {tabloids[i]: c for i, c in row.items()}
-                for a in elements:
-                    terms = partner_terms(a)
-                    assert act_on_tabloid_vector(terms, vec) == act_on_tabloid_vector_by_terms(a, vec)
+            for a in elements:
+                terms = _terms(a, shape, n)
+                for row in specht_basis(shape, n).int_rows():
+                    vec = {tabloids[i]: c for i, c in row.items()}
+                    want = vector_coordinates(act_on_tabloid_vector_by_terms(a, vec), shape, n)
+                    assert act_on_tabloid_vector(terms, row) == want
