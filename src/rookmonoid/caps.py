@@ -1,9 +1,10 @@
-"""Size guard for operations whose cost is decided by a closed formula.
+"""Size guards for computations whose cost is decided by a closed formula.
 
-Anything that would materialize more than ``DEFAULT_MAX_CELLS`` cells is
-refused up front with a ``SizeCapError`` naming the offending quantity, so a
-runaway parameter fails in microseconds instead of hours.  Callers can raise
-the cap explicitly.
+The command line calls these guards before any work: a computation that
+would hold or multiply more than ``DEFAULT_MAX_CELLS`` cells is refused up
+front with a ``SizeCapError`` naming the offending quantity, so a runaway
+parameter fails in microseconds instead of hours, and ``--max-cells`` raises
+the cap.  Library functions are unguarded and compute what they are asked.
 """
 
 from __future__ import annotations

@@ -219,10 +219,15 @@ def cmd_verify_orthogonality(args, parser) -> int:
 
 
 def cmd_verify_schur_weyl(args, parser) -> int:
-    if args.m >= args.n:
-        rep = ideals.check_faithful_action(args.m, args.n, max_cells=args.max_cells)
+    m, n = args.m, args.n
+    if m < 0:
+        parser.error(f"need 0 <= m < n, got m={m}, n={n}")
+    if m >= n:
+        caps.check_tensor_cap(m, n, args.max_cells)
+        rep = ideals.check_faithful_action(m, n)
     else:
-        rep = ideals.check_annihilator_ideal(args.m, args.n, max_cells=args.max_cells)
+        caps.check_level_cap(m, n, args.max_cells)
+        rep = ideals.check_annihilator_ideal(m, n)
     return _report_exit(rep, args)
 
 
@@ -235,7 +240,6 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
     """The task grid, with every size-capped resource checked up front."""
     if n_max < 2 or m_max < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
-    capped = {"max_cells": max_cells}
     sizes = [{"n": n} for n in range(1, n_max + 1)]
     small = sizes[1:4]  # n = 2..4
     tensor_pairs = [p | {"m": m} for p in small for m in range(1, min(m_max, 2) + 1)]
@@ -250,31 +254,29 @@ def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
             for m in range(1, min(n - 1, m_max) + 1)
         ]
 
-    # (family, check, parameter dicts, extra keywords, guard run up front)
+    # (family, check, parameter dicts, guard run up front)
     table = [
-        ("counting", verify.check_counting, sizes, {}, caps.check_order_cap),
-        ("presentation", diagrams.verify_presentation, sizes[1:], {}, None),
-        ("factorization", verify.check_factorization, sizes, {}, caps.check_order_cap),
-        ("one-dimensional-ideals", ideals.check_one_dimensional_ideals, small, {}, None),
-        ("tensor-homomorphism", verify.check_tensor_homomorphism, tensor_pairs, capped,
+        ("counting", verify.check_counting, sizes, caps.check_order_cap),
+        ("presentation", diagrams.verify_presentation, sizes[1:], None),
+        ("factorization", verify.check_factorization, sizes, caps.check_order_cap),
+        ("one-dimensional-ideals", ideals.check_one_dimensional_ideals, small, None),
+        ("tensor-homomorphism", verify.check_tensor_homomorphism, tensor_pairs,
          caps.check_tensor_map_cap),
-        ("faithful", ideals.check_faithful_action, faithful, capped, caps.check_tensor_cap),
-        ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), capped,
-         caps.check_level_cap),
-        ("blocks", ideals.check_block_decomposition, small, {}, caps.check_block_cap),
-        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3], {},
+        ("faithful", ideals.check_faithful_action, faithful, caps.check_tensor_cap),
+        ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), caps.check_level_cap),
+        ("blocks", ideals.check_block_decomposition, small, caps.check_block_cap),
+        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3],
          caps.check_orthogonality_cap),
-        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), {},
-         caps.check_absorption_cap),
-        ("specht-dimensions", verify.check_specht_dimension_sum, small, {}, None),
+        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), caps.check_absorption_cap),
+        ("specht-dimensions", verify.check_specht_dimension_sum, small, None),
     ]
     tasks = []
-    for family, check, params, extra, guard in table:
+    for family, check, params, guard in table:
         for p in params:
             if guard:
                 guard(**p, max_cells=max_cells)
             label = ",".join(f"{key}={value}" for key, value in p.items())
-            tasks.append((f"{family}({label})", check, p | extra))
+            tasks.append((f"{family}({label})", check, p))
     return tasks
 
 

@@ -32,7 +32,6 @@ from .algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from .caps import DEFAULT_MAX_CELLS, check_level_cap
 from .diagrams import (
     diagram_index,
     generators,
@@ -372,15 +371,13 @@ def check_absorption(m: int, n: int) -> dict:
     return report("verify-lemma-4-4", {"m": m, "n": n}, assertions)
 
 
-def check_faithful_action(
-    m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> dict:
+def check_faithful_action(m: int, n: int) -> dict:
     """With at least n unmarked basis vectors the representation matrix has
     full column rank, so the action on the tensor power is faithful."""
     if m < n:
         raise ValueError(f"need m >= n for the faithful case, got m={m}, n={n}")
     order = monoid_order(n)
-    observed = phi_rank(m, n, max_cells=max_cells)
+    observed = phi_rank(m, n)
     assertions = [
         assertion(
             "representation map has full rank",
@@ -392,9 +389,7 @@ def check_faithful_action(
     return report("verify-schur-weyl", {"m": m, "n": n, "mode": "faithful"}, assertions)
 
 
-def check_annihilator_ideal(
-    m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> dict:
+def check_annihilator_ideal(m: int, n: int) -> dict:
     """The annihilator of the tensor power is the two-sided ideal generated
     by the top antisymmetrizer Y on m+1 vertices.
 
@@ -434,7 +429,6 @@ def check_annihilator_ideal(
     """
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    check_level_cap(m, n, max_cells)
     certificate = _certificate_assertion(n)
     blocks = level_blocks(top_antisymmetrizer(m + 1, n))
     alive, ann_dims, ideal_dims, uncertified, unequal = [], [], [], [], []

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import AlgebraElement
-from .caps import DEFAULT_MAX_CELLS, check_tensor_cap
 from .diagrams import all_diagrams, monoid_order
 from .linalg import SparseMatrix, SpanBasis, nullspace, row_space
 
@@ -59,12 +58,9 @@ def _entries(d: Sequence[int], m: int) -> list[tuple[int, int]]:
     return [(r, c) for c, r in enumerate(tau) if r != dim]
 
 
-def element_matrix(
-    a: AlgebraElement, m: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SparseMatrix:
+def element_matrix(a: AlgebraElement, m: int) -> SparseMatrix:
     """Matrix of an algebra element; exact cancellation included."""
     dim = tensor_dim(m, a.n)
-    check_tensor_cap(m, a.n, max_cells)
     acc: dict[tuple[int, int], int] = {}
     for d, coeff in a.terms.items():
         for key in _entries(d, m):
@@ -76,14 +72,11 @@ def element_matrix(
     return SparseMatrix(dim, dim, acc)
 
 
-def phi_matrix(
-    m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SparseMatrix:
+def phi_matrix(m: int, n: int) -> SparseMatrix:
     """The representation map as one matrix: row index runs over (output,
     input) basis pairs vectorized row-major, columns over the canonical
     diagram order."""
     dim = tensor_dim(m, n)
-    check_tensor_cap(m, n, max_cells)
     diags = all_diagrams(n)
     entries: dict[tuple[int, int], int] = {}
     for col, d in enumerate(diags):
@@ -92,17 +85,15 @@ def phi_matrix(
     return SparseMatrix(dim * dim, len(diags), entries)
 
 
-def phi_rank(m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS) -> int:
+def phi_rank(m: int, n: int) -> int:
     """Rank of the representation map on the monoid algebra."""
-    return row_space(phi_matrix(m, n, max_cells=max_cells)).dimension
+    return row_space(phi_matrix(m, n)).dimension
 
 
-def annihilator_basis(
-    m: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SpanBasis:
+def annihilator_basis(m: int, n: int) -> SpanBasis:
     """Echelon basis, in diagram coordinates, of the elements acting as zero
     on the tensor power."""
-    kernel = nullspace(phi_matrix(m, n, max_cells=max_cells))
+    kernel = nullspace(phi_matrix(m, n))
     basis = SpanBasis(monoid_order(n))
     for vec in kernel:
         basis.insert(vec)

@@ -12,7 +12,6 @@ import math
 from operator import itemgetter
 
 from . import specht
-from .caps import DEFAULT_MAX_CELLS, check_tensor_map_cap
 from .diagrams import (
     all_diagrams,
     compose_quadruple,
@@ -109,9 +108,7 @@ def check_factorization(n: int) -> dict:
     return report("factorization", {"n": n}, assertions)
 
 
-def check_tensor_homomorphism(
-    n: int, m: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> dict:
+def check_tensor_homomorphism(n: int, m: int) -> dict:
     """phi(d e) = phi(d) phi(e) for every pair of diagrams, by a generator
     certificate.
 
@@ -130,7 +127,6 @@ def check_tensor_homomorphism(
     of phi(d) phi(g) is column phi(g)[i] of phi(d), so the product is the
     composition i -> phi(d)[phi(g)[i]], one ``itemgetter`` per generator.
     """
-    check_tensor_map_cap(m, n, max_cells)
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)

@@ -347,26 +347,69 @@ def test_verify_blocks_refuses_large_n(n, quantity, capsys):
     assert elapsed < 1.0
 
 
-def test_verify_all_guards_the_blocks_row(monkeypatch, capsys):
-    # the block guard runs for every blocks row before any check does: one
-    # that refuses n = 4 leaves no output, and no block is built
-    guarded = []
+D = DEFAULT_MAX_CELLS
+GRID = ["verify-all", "--n", "4", "--m", "3"]
+ORDER_ROWS = [(n, D) for n in range(1, 5)]
+NARROW_ROWS = [(m, n, D) for n in range(2, 5) for m in range(1, n)]
 
-    def refuse_n4(n, max_cells):
-        guarded.append((n, max_cells))
-        if n == 4:
-            raise SizeCapError(f"block ideal echelon entries at n={n}", 1, 0)
+
+@pytest.mark.parametrize("argv, guard, check, guarded", [
+    (["verify-blocks", "--n", "3"], "check_block_cap", "ideals.check_block_decomposition",
+     [(3, D)]),
+    (["verify-lemma-3-10", "--n", "3"], "check_orthogonality_cap",
+     "ideals.check_specht_orthogonality", [(3,)]),
+    (["verify-lemma-4-4", "--n", "3", "--m", "1"], "check_absorption_cap",
+     "ideals.check_absorption", [(1, 3)]),
+    (["verify-schur-weyl", "--n", "3", "--m", "1"], "check_level_cap",
+     "ideals.check_annihilator_ideal", [(1, 3, D)]),
+    (["verify-schur-weyl", "--n", "2", "--m", "2"], "check_tensor_cap",
+     "ideals.check_faithful_action", [(2, 2, D)]),
+    (GRID, "check_order_cap", "verify.check_counting", ORDER_ROWS),
+    (GRID, "check_order_cap", "verify.check_factorization", ORDER_ROWS * 2),
+    (GRID, "check_tensor_map_cap", "verify.check_tensor_homomorphism",
+     [(n, m, D) for n in range(2, 5) for m in (1, 2)]),
+    (GRID, "check_tensor_cap", "ideals.check_faithful_action",
+     [(1, 1, D), (2, 2, D), (3, 3, D), (3, 2, D)]),
+    (GRID, "check_level_cap", "ideals.check_annihilator_ideal", NARROW_ROWS),
+    (GRID, "check_block_cap", "ideals.check_block_decomposition", [(2, D), (3, D), (4, D)]),
+    (GRID, "check_orthogonality_cap", "ideals.check_specht_orthogonality", [(2, D), (3, D)]),
+    (GRID, "check_absorption_cap", "ideals.check_absorption", NARROW_ROWS),
+], ids=[
+    "verify-blocks", "verify-lemma-3-10", "verify-lemma-4-4", "verify-schur-weyl-narrow",
+    "verify-schur-weyl-wide", "verify-all-counting", "verify-all-factorization",
+    "verify-all-tensor-homomorphism", "verify-all-faithful", "verify-all-annihilator",
+    "verify-all-blocks", "verify-all-specht-orthogonality", "verify-all-absorption",
+])
+def test_guard_runs_before_its_check(argv, guard, check, guarded, monkeypatch, capsys):
+    # the guard refuses on its last call, once it has seen every row it
+    # guards (in the grid, every row of its families up to the check's), and
+    # the check must not have run by then
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        if len(calls) == len(guarded):
+            raise SizeCapError(guard, 1, 0)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a check ran before the guards")
+        raise AssertionError(f"{check} ran before its guard refused")
 
-    monkeypatch.setattr(caps, "check_block_cap", refuse_n4)
-    monkeypatch.setattr(ideals, "check_block_decomposition", forbidden)
-    code = main(["verify-all", "--n", "4", "--m", "1"])
+    monkeypatch.setattr(caps, guard, refuse)
+    monkeypatch.setattr(f"rookmonoid.{check}", forbidden)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
-    assert guarded == [(2, DEFAULT_MAX_CELLS), (3, DEFAULT_MAX_CELLS), (4, DEFAULT_MAX_CELLS)]
-    assert "block ideal echelon entries at n=4" in captured.err
+    assert calls == guarded
+    assert f"refusing: {guard} = 1" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_schur_weyl_refuses_negative_m_before_its_guard(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-schur-weyl", "--n", "99", "--m", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "need 0 <= m < n, got m=-1, n=99" in captured.err
     assert captured.out == ""
 
 

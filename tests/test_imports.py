@@ -138,3 +138,49 @@ def test_package_defines_no_test_only_api():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     sources = {p.stem: p.read_text() for p in modules}
     assert unreferenced_definitions(sources) == sorted(BENCHMARK_ONLY)
+
+
+def guards_outside_the_cli(sources: dict[str, str]) -> list[str]:
+    """Each module in ``sources`` (module name -> source) other than ``cli``
+    and ``__init__`` that imports ``caps``, and each function outside ``cli``
+    and ``caps`` with a ``max_cells`` parameter: size guards run in one
+    layer, the command line, and library functions compute what they are
+    asked."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and module not in ("cli", "__init__"):
+                if node.module:
+                    names = {node.module.split(".")[-1]}
+                else:
+                    names = {a.name for a in node.names}
+                if "caps" in names:
+                    found.add(f"{module} imports caps")
+            if isinstance(node, ast.FunctionDef) and module not in ("cli", "caps"):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "max_cells" in (a.arg for a in params):
+                    found.add(f"{module}.{node.name} takes max_cells")
+    return sorted(found)
+
+
+def test_scan_flags_a_guard_outside_the_cli():
+    sources = {
+        "cli": "from . import caps\n\ndef run(n, max_cells):\n    caps.check(n, max_cells)\n",
+        "caps": "def check(n, max_cells=10):\n    pass\n",
+        "__init__": "from .caps import check\n",
+        "a": "from .caps import check\n\ndef f(n, *, max_cells=10):\n    check(n, max_cells)\n",
+        "b": "from . import caps, x\nfrom rookmonoid.caps import check\n",
+        "c": "def g(n):\n    def inner(max_cells):\n        pass\n",
+    }
+    assert guards_outside_the_cli(sources) == [
+        "a imports caps",
+        "a.f takes max_cells",
+        "b imports caps",
+        "c.inner takes max_cells",
+    ]
+
+
+def test_only_the_cli_guards():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert {"cli", "caps", "__init__"} <= sources.keys()
+    assert guards_outside_the_cli(sources) == []

@@ -9,7 +9,7 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.caps import SizeCapError, phi_entry_count
+from rookmonoid.caps import DEFAULT_MAX_CELLS, SizeCapError, check_tensor_cap, phi_entry_count
 from rookmonoid.diagrams import all_diagrams, generator, identity, monoid_order, multiply
 from rookmonoid.linalg import SparseMatrix, nullspace
 from rookmonoid.specht import all_shapes, column_filled_tableau, row_filled_tableau
@@ -236,15 +236,15 @@ def test_phi_entry_count_matches_phi():
 
 
 def test_size_cap_refusal():
+    # the guard that the CLI runs before phi is built; the library builds
+    # whatever it is asked for
     with pytest.raises(SizeCapError) as exc:
-        element_matrix(AlgebraElement.one(12), 9)
+        check_tensor_cap(9, 12, DEFAULT_MAX_CELLS)
     assert "tensor matrix cells" in str(exc.value)
     assert "exceeds the size cap" in str(exc.value)
-    with pytest.raises(SizeCapError):
-        phi_matrix(9, 12)
     # 65536 cells but 101,817,089 entries
     with pytest.raises(SizeCapError) as exc:
-        phi_matrix(1, 8)
+        check_tensor_cap(1, 8, DEFAULT_MAX_CELLS)
     assert "phi matrix entries" in str(exc.value)
-    # generous cap override allows small cases
-    assert rank(element_matrix(AlgebraElement.one(2), 1, max_cells=10**9)) == 4
+    assert exc.value.value == phi_entry_count(1, 8) == 101_817_089
+    assert rank(element_matrix(AlgebraElement.one(2), 1)) == 4

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rookmonoid import verify
-from rookmonoid.caps import SizeCapError
+from rookmonoid.caps import DEFAULT_MAX_CELLS, SizeCapError, check_tensor_map_cap
 from rookmonoid.diagrams import (
     all_diagrams,
     identity,
@@ -114,20 +114,23 @@ def test_tensor_homomorphism_catches_a_corrupted_identity(monkeypatch):
 
 
 def test_tensor_homomorphism_refuses_past_the_cap():
-    # the maps at (8, 1) hold 1,441,729 * 257 entries; refused before any map
+    # the guard that the CLI runs before the certificate: the maps at (8, 1)
+    # hold 1,441,729 * 257 entries
     with pytest.raises(SizeCapError) as exc:
-        check_tensor_homomorphism(8, 1)
+        check_tensor_map_cap(1, 8, DEFAULT_MAX_CELLS)
     assert "tensor map entries" in str(exc.value)
 
 
 def test_tensor_homomorphism_refuses_the_map_entries_at_once(monkeypatch):
     # (7, 1): phi has 5.1M nonzero entries, but the 130,922 maps of 2^7 + 1
-    # entries each hold 16,888,938
+    # entries each hold 16,888,938; the guard, run before the certificate as
+    # the CLI runs it, refuses before any diagram map is built
     def no_map(d, m):
         raise AssertionError("a diagram map was built past the cap")
 
     monkeypatch.setattr(verify, "diagram_map", no_map)
     with pytest.raises(SizeCapError) as exc:
+        check_tensor_map_cap(1, 7, DEFAULT_MAX_CELLS)
         check_tensor_homomorphism(7, 1)
     assert exc.value.value == monoid_order(7) * (2**7 + 1) == 16_888_938
     assert "tensor map entries |R_n| ((m+1)^n + 1) at m=1, n=7" in str(exc.value)
