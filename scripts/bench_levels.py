@@ -16,8 +16,9 @@ n = 9, and the quasi-idempotent products and block ideals:
 ``verify-blocks`` at n = 4, 5 and 6 and its refusal at n = 7,
 ``e-element --n 6 --lambda 6`` and ``--n 7 --lambda 7`` and the refusal
 of ``--n 8 --lambda 8``, ``verify-lemma-3-10`` at n = 4, 5, 6 and 7 and
-its refusal at n = 8, and ``verify-lemma-4-4`` at (m, n) = (2, 6) and (3, 6)
-and its refusal at (4, 6), each in the second checkout too.
+its refusal at n = 8, and ``verify-lemma-4-4`` at (m, n) = (2, 6), (3, 6),
+(4, 6), (5, 6) and (6, 7) and its refusal at (1, 7), each in the second
+checkout too.
 Then the groupoid basis-change certificate alone
 (``basis_change_failures``) at n = 5, 6, 7 and 8, with its own time and the
 interpreter's peak resident memory, in the second checkout too.  Then the
@@ -62,7 +63,10 @@ PRODUCTS = [  # (argv, expected exit code; a second checkout's is recorded, not 
     (["verify-lemma-3-10", "--n", "8"], 3),
     (["verify-lemma-4-4", "--n", "6", "--m", "2"], 0),
     (["verify-lemma-4-4", "--n", "6", "--m", "3"], 0),
-    (["verify-lemma-4-4", "--n", "6", "--m", "4"], 3),
+    (["verify-lemma-4-4", "--n", "6", "--m", "4"], 0),
+    (["verify-lemma-4-4", "--n", "6", "--m", "5"], 0),
+    (["verify-lemma-4-4", "--n", "7", "--m", "6"], 0),
+    (["verify-lemma-4-4", "--n", "7", "--m", "1"], 3),
 ]
 VERIFIERS = ("verify-blocks", "verify-lemma-3-10", "verify-lemma-4-4")  # print a report with a pass flag
 CERTIFICATE_N = [5, 6, 7, 8]

@@ -81,20 +81,21 @@ def check_symmetrizer_cap(kind: str, r: int, n: int, max_cells: int) -> None:
     )
 
 
-def quasi_idempotent_pairs(shape: Shape, n: int, *after: int) -> int:
-    """A bound on the term pairs ``tableau_quasi_idempotent`` multiplies for
-    a tableau of the shape, then by factors of ``after`` terms: starting
-    from 1 it multiplies by the ``quasi_idempotent_factors`` f_i of |f_i|
-    terms, 2, 3, .., h for the Jucys-Murphy chain over a column of h
-    vertices, 2, 3, .., k for that over a row of k vertices and then 2 for
-    each of its k factors 1 - p_i, and 1 for each missing vertex, and the
-    product before f_i has at most min(prod_{j<i} |f_j|, |R_n|) terms."""
+def quasi_idempotent_pairs(shape: Shape, n: int, terms: int = 1) -> int:
+    """A bound on the term pairs multiplied when an element of ``terms``
+    terms is multiplied by the ``quasi_idempotent_factors`` f_i of a tableau
+    of the shape, one at a time; from 1 that is ``tableau_quasi_idempotent``.
+    f_i has |f_i| terms: 2, 3, .., h for the Jucys-Murphy chain over a
+    column of h vertices, 2, 3, .., k for that over a row of k vertices and
+    then 2 for each of its k factors 1 - p_i, and 1 for each missing
+    vertex, and the product before f_i has at most
+    min(terms prod_{j<i} |f_j|, |R_n|) terms."""
     sizes = [size for h in conjugate(tuple(shape)) for size in range(2, h + 1)]
     for k in shape:
         sizes += list(range(2, k + 1)) + [2] * k
-    sizes += [1] * (n - sum(shape)) + list(after)
+    sizes += [1] * (n - sum(shape))
     order = monoid_order(n)
-    pairs, terms = 0, 1
+    pairs = 0
     for size in sizes:
         pairs += min(terms, order) * size
         terms *= size
@@ -137,13 +138,14 @@ def _tall_shapes(r: int, rows: int, widest: int) -> Iterator[Shape]:
 
 def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
     """Refuse ``check_absorption`` when its term pairs exceed ``max_cells``:
-    per shape with more than m rows, ``quasi_idempotent_pairs`` and then y,
-    (m+2)! terms.  The count stops at the first shape that takes it past
-    the cap, and the refusal gives the pairs counted so far, so an absurd n
-    is refused without listing its shapes."""
+    per shape with more than m rows, ``quasi_idempotent_pairs`` for e and
+    again from y's (m+2)! terms for y e.  The count stops at the first shape
+    that takes it past the cap, and the refusal gives the pairs counted so
+    far, so an absurd n is refused without listing its shapes."""
     pairs = 0
     for r in range(m + 1, n + 1):
         for shape in _tall_shapes(r, m + 1, r):
+            pairs += quasi_idempotent_pairs(shape, n)
             pairs += quasi_idempotent_pairs(shape, n, factorial(m + 2))
             check_cap(f"absorption term pairs at m={m}, n={n}", pairs, max_cells)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import itertools
 import json
@@ -180,6 +179,8 @@ def cmd_specht_dims(args, parser) -> int:
     dims = [(shape, specht.specht_dimension(shape, n)) for shape in shapes]
     total = sum(d * d for _, d in dims)
     if args.format == "csv":
+        import csv  # only this branch needs it; importing it costs every start
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["shape", "boxes", "dimension"])

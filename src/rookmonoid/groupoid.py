@@ -140,26 +140,36 @@ def basis_change_failures(
     return failing, unit_holds, len(diags) * len(gens), len(reached)
 
 
-def floor_product(
-    n: int, x: Mapping[int, Coeff], y: Mapping[int, Coeff]
-) -> dict[int, Coeff]:
-    """The floor coordinates of x y from those of x and y: entry i is the
-    coefficient of floor(``all_diagrams(n)[i]``), and zero entries are left
-    out.  floor(d) floor(e) = floor(d e) when ran d = dom e and 0 otherwise
-    (``basis_change_failures`` certifies it at n), so y's entries are
-    grouped by domain, and each d in x meets the group of ran d.
-    """
-    diags, index = all_diagrams(n), diagram_index(n)
-    after: dict[frozenset[int], list] = {}
+def domain_groups(n: int, y: Mapping[int, Coeff]) -> dict[frozenset[int], list]:
+    """The right factor of ``floor_product``: the floor coordinates of y
+    grouped by the domain of their diagrams, each entry as its
+    ``diagrams.padded`` diagram and coefficient.  Group an element once when
+    it is a right factor more than once."""
+    diags = all_diagrams(n)
+    groups: dict[frozenset[int], list] = {}
     for j, c in y.items():
         e = diags[j]
         dom = frozenset(a for a, b in enumerate(e, start=1) if b)
-        after.setdefault(dom, []).append((padded(e), c))
+        groups.setdefault(dom, []).append((padded(e), c))
+    return groups
+
+
+def floor_product(
+    n: int, x: Mapping[int, Coeff], y_groups: Mapping[frozenset[int], list]
+) -> dict[int, Coeff]:
+    """The floor coordinates of x y from those of x and the
+    ``domain_groups`` of y: entry i is the coefficient of
+    floor(``all_diagrams(n)[i]``), and zero entries are left out.
+    floor(d) floor(e) = floor(d e) when ran d = dom e and 0 otherwise
+    (``basis_change_failures`` certifies it at n), so each d in x meets the
+    group of ran d.
+    """
+    diags, index = all_diagrams(n), diagram_index(n)
     out: dict[int, Coeff] = {}
     for i, a in x.items():
         d = diags[i]
         product = gather(d)
-        for pad, c in after.get(frozenset(d) - {0}, ()):
+        for pad, c in y_groups.get(frozenset(d) - {0}, ()):
             k = index[product(pad)]
             out[k] = out.get(k, 0) + a * c
     return {k: c for k, c in out.items() if c}

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
+from typing import NamedTuple
 
 from . import specht
 from .algebra import (
@@ -43,6 +43,7 @@ from .groupoid import (
     basis_change_failures,
     characters,
     content_character,
+    domain_groups,
     floor_product,
     ideal_of_blocks,
     level_blocks,
@@ -64,8 +65,7 @@ def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return multiplication_maps(diagram_index(n), gens, gens)
 
 
-@dataclass
-class IdealSpan:
+class IdealSpan(NamedTuple):
     """A two-sided ideal as the echelon span of its floor coordinates:
     entry i is the coefficient of floor(``all_diagrams(n)[i]``)."""
 
@@ -210,8 +210,9 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     Both facts are read in the groupoid basis, so its certificate at n comes
     first.  Each block ideal is built from S_k ideals (``two_sided_ideal``),
     and orthogonality multiplies echelon basis elements of distinct blocks
-    in their floor coordinates (``groupoid.floor_product``): every pair for
-    n <= 3, and ``SAMPLE_PAIRS`` seeded pairs beyond that."""
+    in their floor coordinates (``groupoid.floor_product``, with each right
+    factor's ``domain_groups`` built once): every pair for n <= 3, and
+    ``SAMPLE_PAIRS`` seeded pairs beyond that."""
     exhaustive = n <= 3
     shapes = specht.all_shapes(n)
     blocks = {shape: block_ideal(shape, n) for shape in shapes}
@@ -242,10 +243,13 @@ def check_block_decomposition(n: int, *, seed: int = DEFAULT_SEED) -> dict:
     pairs = block_pairs(
         [(shape, len(rows[shape])) for shape in shapes], None if exhaustive else seed
     )
+    # each right factor grouped once, however many pairs it is in
+    right = {(s2, j) for _, _, s2, j in pairs}
+    groups = {(s, j): domain_groups(n, rows[s][j]) for s, j in right}
     bad = [
         {"left": ",".join(map(str, s1)), "right": ",".join(map(str, s2))}
         for s1, i, s2, j in pairs
-        if floor_product(n, rows[s1][i], rows[s2][j])
+        if floor_product(n, rows[s1][i], groups[s2, j])
     ]
     assertions.append(
         assertion(
@@ -343,7 +347,11 @@ def check_specht_orthogonality(
 
 def check_absorption(m: int, n: int) -> dict:
     """The top antisymmetrizer on m+1 vertices rescales the quasi-idempotent
-    of every column-filled tableau with more than m rows by (m+1)!."""
+    of every column-filled tableau with more than m rows by (m+1)!.
+
+    One pass over ``quasi_idempotent_factors`` f_1, .., f_k builds both
+    e = f_1 ... f_k and y e = (...((y f_1) f_2) ...) f_k, the same element
+    by associativity, without multiplying y by the expanded e."""
     if not 0 <= m < n:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     y = top_antisymmetrizer(m + 1, n)
@@ -358,8 +366,10 @@ def check_absorption(m: int, n: int) -> dict:
     ]
     bad = []
     for shape in tall:
-        e = tableau_quasi_idempotent(specht.column_filled_tableau(shape, n))
-        if y * e != e.scale(scale):
+        e, ye = AlgebraElement.one(n), y
+        for f in quasi_idempotent_factors(specht.column_filled_tableau(shape, n)):
+            e, ye = e * f, ye * f
+        if ye != e.scale(scale):
             bad.append(",".join(map(str, shape)) or "empty")
     assertions.append(
         assertion(

@@ -14,7 +14,6 @@ tabloids, and vectors of the permutation module are keyed by tabloid index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -70,22 +69,42 @@ def conjugate(shape: Shape) -> Shape:
     )
 
 
-@dataclass(frozen=True)
 class Tableau:
-    shape: Shape
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    """A filling of ``shape`` by distinct entries from 1..n, row by row.
+    Immutable, and equal to another tableau with the same shape, n and
+    rows."""
 
-    def __post_init__(self):
-        if not is_shape(self.shape):
-            raise ValueError(f"not a shape: {self.shape}")
-        if sum(self.shape) > self.n:
-            raise ValueError(f"shape {self.shape} does not fit inside 1..{self.n}")
-        if tuple(len(row) for row in self.rows) != self.shape:
-            raise ValueError(f"rows {self.rows} do not match shape {self.shape}")
-        flat = [e for row in self.rows for e in row]
-        if len(set(flat)) != len(flat) or not all(1 <= e <= self.n for e in flat):
-            raise ValueError(f"entries must be distinct and within 1..{self.n}")
+    __slots__ = ("shape", "n", "rows")
+
+    def __init__(self, shape: Shape, n: int, rows: tuple[tuple[int, ...], ...]):
+        if not is_shape(shape):
+            raise ValueError(f"not a shape: {shape}")
+        if sum(shape) > n:
+            raise ValueError(f"shape {shape} does not fit inside 1..{n}")
+        if tuple(len(row) for row in rows) != shape:
+            raise ValueError(f"rows {rows} do not match shape {shape}")
+        flat = [e for row in rows for e in row]
+        if len(set(flat)) != len(flat) or not all(1 <= e <= n for e in flat):
+            raise ValueError(f"entries must be distinct and within 1..{n}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Tableau is immutable; cannot set or delete {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tableau):
+            return NotImplemented
+        return (self.shape, self.n, self.rows) == (other.shape, other.n, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Tableau(shape={self.shape!r}, n={self.n!r}, rows={self.rows!r})"
 
     @property
     def content(self) -> frozenset[int]:

@@ -70,23 +70,21 @@ def check_factorization(n: int) -> dict:
     d can only be factorize(d).
     """
     diags = all_diagrams(n)
+    reps = {r: set(coset_reps(n, r)) for r in range(n + 1)}
     bad_roundtrip = []
     bad_shape = []
     for d in diags:
         q = factorize(d)
         if compose_quadruple(q) != d:
             bad_roundtrip.append(list(d))
-        reps = coset_reps(n, q.r)
         if (
-            q.d1 not in reps
-            or q.d2 not in reps
+            q.d1 not in reps[q.r]
+            or q.d2 not in reps[q.r]
             or not is_permutation(q.sigma)
             or q.sigma[: q.r] != tuple(range(1, q.r + 1))
         ):
             bad_shape.append(list(d))
-    quadruples = sum(
-        len(coset_reps(n, r)) ** 2 * math.factorial(n - r) for r in range(n + 1)
-    )
+    quadruples = sum(len(reps[r]) ** 2 * math.factorial(n - r) for r in range(n + 1))
     distinct = len(set(diags))
     assertions = [
         assertion(

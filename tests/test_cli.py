@@ -296,23 +296,28 @@ def test_every_guarded_command_refuses_n99_at_once(argv, capsys):
 
 @pytest.mark.parametrize("argv, quantity", [
     (["verify-lemma-3-10", "--n", "8"], "tableaux plus tabloid map entries at n=8 = 11017431"),
-    (["verify-lemma-4-4", "--n", "6", "--m", "4"], "absorption term pairs at m=4, n=6 = 12402304"),
+    (["verify-lemma-4-4", "--n", "7", "--m", "1"], "absorption term pairs at m=1, n=7 = 10116310"),
 ], ids=["verify-lemma-3-10", "verify-lemma-4-4"])
 def test_lemma_guards_refuse_what_they_count(argv, quantity, capsys):
-    # n = 7, (2, 6) and (3, 6) pass; the absorption count at (4, 6) stops at
-    # the shape that takes it past the cap, short of its whole 22,069,910
+    # n = 7, every (m, 6) and (6, 7) pass; the absorption count at (1, 7)
+    # stops at the shape that takes it past the cap, short of its whole
+    # 20,258,530
     assert main(argv) == 3
     assert quantity in capsys.readouterr().err
     check_orthogonality_cap(7)
-    check_absorption_cap(2, 6)
-    check_absorption_cap(3, 6)
+    for m in range(6):
+        check_absorption_cap(m, 6)
+    check_absorption_cap(6, 7)
     assert main(["verify-lemma-4-4", "--n", "3", "--m", "1"]) == 0
     # the guard visits every shape with more than m rows: one pair short of
     # the whole count, it refuses on the last shape with the whole count
     for n in range(1, 7):
         for m in range(n):
             tall = [s for s in all_shapes(n) if len(s) > m]
-            total = sum(quasi_idempotent_pairs(s, n, factorial(m + 2)) for s in tall)
+            y_terms = factorial(m + 2)
+            total = sum(
+                quasi_idempotent_pairs(s, n) + quasi_idempotent_pairs(s, n, y_terms) for s in tall
+            )
             check_absorption_cap(m, n, total)
             with pytest.raises(SizeCapError) as exc:
                 check_absorption_cap(m, n, total - 1)
@@ -578,6 +583,25 @@ def test_quasi_idempotent_bound_covers_counted_pairs(monkeypatch):
     small += [((2,), 2), ((1, 1), 2)]
     fills = (row_filled_tableau, column_filled_tableau)
     assert exact == {(shape, n, fill) for shape, n in small for fill in fills}
+
+
+def test_absorption_bound_covers_counted_pairs(monkeypatch):
+    # check_absorption multiplies e and y e factor by factor; the guard
+    # counts at least the pairs it multiplies, so one pair fewer is refused
+    pairs = []
+    mul = AlgebraElement.__mul__
+
+    def counting_mul(a, b):
+        pairs.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting_mul)
+    for n in range(1, 6):
+        for m in range(n):
+            pairs.clear()
+            assert ideals.check_absorption(m, n)["pass"], (m, n)
+            with pytest.raises(SizeCapError):
+                check_absorption_cap(m, n, sum(pairs) - 1)
 
 
 def test_usage_error_bad_diagram(capsys):

@@ -27,6 +27,7 @@ from rookmonoid.diagrams import (
 from rookmonoid.groupoid import (
     balanced,
     basis_change_failures,
+    domain_groups,
     floor_blocks,
     floor_product,
     growth_words,
@@ -477,7 +478,7 @@ def _floor_coordinates(a):
 
 
 def _check_product(x, y):
-    got = floor_product(x.n, _floor_coordinates(x), _floor_coordinates(y))
+    got = floor_product(x.n, _floor_coordinates(x), domain_groups(x.n, _floor_coordinates(y)))
     product = x * y
     assert got == _floor_coordinates(product), (x, y)
     assert (not got) == product.is_zero(), (x, y)

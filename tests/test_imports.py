@@ -8,9 +8,16 @@ referred to somewhere in the package, with each name resolved to the
 definition its module binds, so ``src/`` holds no API that only the tests
 use.  ``__init__`` is skipped, since re-exporting is its job, and so are
 ``from __future__`` imports and dunder methods.
+
+Every command line run imports the package afresh, so a cold import must
+not load what no run needs: ``dataclasses`` alone pulls in ``inspect``,
+``ast``, ``dis`` and ``tokenize``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rookmonoid
@@ -184,3 +191,22 @@ def test_only_the_cli_guards():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert {"cli", "caps", "__init__"} <= sources.keys()
     assert guards_outside_the_cli(sources) == []
+
+
+# ``dataclasses`` and what it pulls in, and ``csv``, which one output
+# format alone uses; a cold start needs none of them.
+COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+
+
+def test_cold_import_loads_no_module_it_does_not_need():
+    code = (
+        "import sys; before = set(sys.modules); import rookmonoid, rookmonoid.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "rookmonoid.cli" in loaded
+    assert sorted(loaded & COLD_START_FREE) == []

@@ -80,6 +80,23 @@ def test_tableau_validation():
         Tableau((2, 1), 3, ((1, 4), (2,)))  # entry out of range
     with pytest.raises(ValueError):
         Tableau((2, 1), 3, ((1,), (2,)))  # row length mismatch
+    with pytest.raises(ValueError):
+        Tableau((2, 1), 2, ((1, 2), (3,)))  # shape does not fit inside 1..n
+
+
+def test_tableau_is_an_immutable_value():
+    t = Tableau((2, 1), 3, ((1, 3), (2,)))
+    same = Tableau((2, 1), 3, ((1, 3), (2,)))
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert t != Tableau((2, 1), 4, ((1, 3), (2,)))
+    assert t != Tableau((2, 1), 3, ((1, 2), (3,)))
+    assert t != ((2, 1), 3, ((1, 3), (2,)))
+    for name in ("shape", "n", "rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    with pytest.raises(AttributeError):
+        del t.rows
+    assert (t.shape, t.n, t.rows, t.content) == ((2, 1), 3, ((1, 3), (2,)), {1, 2, 3})
 
 
 def test_canonical_fillings():
