@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, Coeff
 from .diagrams import (
@@ -164,12 +164,11 @@ def floor_product(
     (``basis_change_failures`` certifies it at n), so each d in x meets the
     group of ran d.
     """
-    diags, index = all_diagrams(n), diagram_index(n)
+    index, lefts = diagram_index(n), _left_factors(n)
     out: dict[int, Coeff] = {}
     for i, a in x.items():
-        d = diags[i]
-        product = gather(d)
-        for pad, c in y_groups.get(frozenset(d) - {0}, ()):
+        ran, product = lefts[i]
+        for pad, c in y_groups.get(ran, ()):
             k = index[product(pad)]
             out[k] = out.get(k, 0) + a * c
     return {k: c for k, c in out.items() if c}
@@ -185,6 +184,19 @@ def relabel(t: Sequence[int]) -> Perm:
 @lru_cache(maxsize=None)
 def _perm_index(k: int) -> dict[Perm, int]:
     return {w: i for i, w in enumerate(all_permutations(k))}
+
+
+@lru_cache(maxsize=None)
+def _left_factors(n: int) -> tuple[tuple[frozenset[int], Callable], ...]:
+    """For each diagram of ``all_diagrams(n)``, in order, its range and its
+    ``diagrams.gather``: what ``floor_product`` reads of a left factor.
+    Equal ranges share one frozenset."""
+    ranges: dict[frozenset[int], frozenset[int]] = {}
+    out = []
+    for d in all_diagrams(n):
+        ran = frozenset(d) - {0}
+        out.append((ranges.setdefault(ran, ran), gather(d)))
+    return tuple(out)
 
 
 def level_blocks(y: AlgebraElement) -> list[Block]:

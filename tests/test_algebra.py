@@ -321,6 +321,29 @@ def test_leaving_out_any_quasi_idempotent_factor_changes_the_product():
     assert cases == 1606
 
 
+def test_relabelling_a_tableau_conjugates_its_quasi_idempotent():
+    # e_(wt) = w e_t w^-1 for w in S_n, which makes one tableau per shape
+    # exhaustive in check_specht_orthogonality: every tableau t at n <= 4
+    # against the row-filled t0 of its shape, with w sending t0's boxes
+    # onto t's and the rest of 1..n onto the rest in order.  w reads as
+    # a -> w[a - 1]; the product has (d1 d2)[a] = d2[d1[a]], so w e w^-1 is
+    # the product w^-1 * e * w
+    cases = 0
+    for n in range(1, 5):
+        for shape in all_shapes(n):
+            e0 = tableau_quasi_idempotent(row_filled_tableau(shape, n))
+            for t in all_tableaux(shape, n):
+                boxes = [e for row in t.rows for e in row]  # t0 holds 1, 2, .. row by row
+                w = tuple(boxes + [a for a in range(1, n + 1) if a not in t.content])
+                w_inv = tuple(w.index(b) + 1 for b in range(1, n + 1))
+                conjugate = (
+                    AlgebraElement.from_diagram(w_inv) * e0 * AlgebraElement.from_diagram(w)
+                )
+                assert tableau_quasi_idempotent(t) == conjugate, t
+                cases += 1
+    assert cases == 264
+
+
 def test_each_chain_multiplies_to_the_permutation_sum():
     # a row's factors open with its Jucys-Murphy chain, the k - 1 factors
     # 1 + L_j, and a column's with 1 - L_j; the entries are listed

@@ -176,13 +176,20 @@ def test_specht_orthogonality_report():
         assert rep["pass"], rep
         assert rep["check"] == "verify-lemma-3-10"
         assert set(rep["params"]) == {"n", "seed"}
-    # at n = 3 no shape has more tableaux than the sampling threshold
-    checked = [
-        a["witness"]["tableaux_checked"]
-        for a in rep["assertions"]
-        if a["name"].endswith("kills the other shapes")
-    ]
-    assert checked == [1, 3, 6, 6, 6, 6, 6]
+
+    def checked(rep):
+        return [
+            a["witness"]["tableaux_checked"]
+            for a in rep["assertions"]
+            if a["name"].endswith("kills the other shapes")
+        ]
+
+    # by default one tableau per shape, which conjugation makes exhaustive
+    assert checked(rep) == [1] * 7
+    # at n = 3 no shape has more than 12 tableaux, so all of them are checked
+    rep = check_specht_orthogonality(3, sample_tableaux=12)
+    assert rep["pass"], rep
+    assert checked(rep) == [1, 3, 6, 6, 6, 6, 6]
 
 
 def test_specht_orthogonality_catches_a_quasi_idempotent_that_kills_nothing(
