@@ -297,15 +297,69 @@ def cmd_verify_all(args, parser) -> int:
     return _report_exit(report("verify-all", params, assertions), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int, "required": True}
+_DIAGRAM = {"action": "append", "required": True}
+
+# name: (handler, whether --max-cells applies, help, arguments as (flag, keywords))
+COMMANDS = {
+    "enumerate": (cmd_enumerate, True, "list all diagrams of a given size", [
+        ("--n", _INT),
+        ("--rank-class", {"type": int, "help": "restrict to diagrams with this many deleted vertices"}),
+    ]),
+    "mul": (cmd_mul, False, "compose two diagrams", [
+        ("--diagram", _DIAGRAM | {"help": "comma-separated image list; give twice"}),
+    ]),
+    "factorize": (cmd_factorize, False, "canonical quadruple of a diagram", [("--diagram", _DIAGRAM)]),
+    "sign": (cmd_sign, False, "length and sign of a diagram", [("--diagram", _DIAGRAM)]),
+    "symmetrizer": (cmd_symmetrizer, True, "(anti)symmetrizer over an initial segment", [
+        ("--n", _INT),
+        ("--r", {"type": int, "help": "size of the initial segment; defaults to n"}),
+        ("--kind", {"choices": ["sym", "anti"], "default": "sym"}),
+    ]),
+    "e-element": (cmd_e_element, True, "quasi-idempotent of a canonical tableau", [
+        ("--n", _INT),
+        ("--lambda", {"dest": "shape", "required": True, "help": "decreasing comma list; 'empty' allowed"}),
+        ("--kind", {"choices": ["row", "col"], "default": "row"}),
+    ]),
+    "specht-dims": (cmd_specht_dims, True, "Specht module dimensions for all shapes", [
+        ("--n", _INT),
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+    ]),
+    "verify-presentation": (cmd_verify_presentation, False, "check the defining relations", [("--n", _INT)]),
+    "verify-blocks": (cmd_verify_blocks, True, "block ideal decomposition", [("--n", _INT)]),
+    "verify-lemma-3-10": (cmd_verify_orthogonality, False, "quasi-idempotents kill other shapes",
+                          [("--n", _INT)]),
+    "verify-schur-weyl": (cmd_verify_schur_weyl, True, "annihilator of the tensor action",
+                          [("--n", _INT), ("--m", _INT)]),
+    "verify-lemma-4-4": (cmd_verify_absorption, False, "antisymmetrizer absorption on tall shapes",
+                         [("--n", _INT), ("--m", _INT)]),
+    "verify-all": (cmd_verify_all, True, "run the whole verification grid", [
+        ("--n", {"type": int, "default": 3, "help": "largest diagram size"}),
+        ("--m", {"type": int, "default": 2, "help": "largest number of unmarked basis vectors"}),
+    ]),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in ``names``, all of
+    them by default.
+
+    Each subparser costs a start some formatter set-up, so ``main`` builds
+    only the one it runs.  argparse spells the usage line's choice list from
+    the subparsers it holds, so a partial parser names all the commands
+    itself, in argparse's ``{a,b,...}`` form: usage lines and errors then
+    read the same.  The full parser leaves that to argparse, which keeps
+    "required: command" in the error for a missing command.
+    """
     parser = argparse.ArgumentParser(
         prog="rookmonoid",
         description="Exact computations in the rook monoid algebra",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, *, capped=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    spelled = {} if len(names) == len(COMMANDS) else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **spelled)
+    for name in names:
+        func, capped, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write output to this file instead of stdout")
         if capped:
             p.add_argument(
@@ -314,62 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
                 default=DEFAULT_MAX_CELLS,
                 help="refuse computations larger than this many cells",
             )
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    p = add("enumerate", cmd_enumerate, capped=True, help="list all diagrams of a given size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rank-class", type=int, help="restrict to diagrams with this many deleted vertices")
-
-    p = add("mul", cmd_mul, help="compose two diagrams")
-    p.add_argument("--diagram", action="append", required=True, help="comma-separated image list; give twice")
-
-    p = add("factorize", cmd_factorize, help="canonical quadruple of a diagram")
-    p.add_argument("--diagram", action="append", required=True)
-
-    p = add("sign", cmd_sign, help="length and sign of a diagram")
-    p.add_argument("--diagram", action="append", required=True)
-
-    p = add("symmetrizer", cmd_symmetrizer, capped=True, help="(anti)symmetrizer over an initial segment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, help="size of the initial segment; defaults to n")
-    p.add_argument("--kind", choices=["sym", "anti"], default="sym")
-
-    p = add("e-element", cmd_e_element, capped=True, help="quasi-idempotent of a canonical tableau")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="shape", required=True, help="decreasing comma list; 'empty' allowed")
-    p.add_argument("--kind", choices=["row", "col"], default="row")
-
-    p = add("specht-dims", cmd_specht_dims, capped=True, help="Specht module dimensions for all shapes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("verify-presentation", cmd_verify_presentation, help="check the defining relations")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("verify-blocks", cmd_verify_blocks, capped=True, help="block ideal decomposition")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("verify-lemma-3-10", cmd_verify_orthogonality, help="quasi-idempotents kill other shapes")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("verify-schur-weyl", cmd_verify_schur_weyl, capped=True, help="annihilator of the tensor action")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("verify-lemma-4-4", cmd_verify_absorption, help="antisymmetrizer absorption on tall shapes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("verify-all", cmd_verify_all, capped=True, help="run the whole verification grid")
-    p.add_argument("--n", type=int, default=3, help="largest diagram size")
-    p.add_argument("--m", type=int, default=2, help="largest number of unmarked basis vectors")
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be at least 1")

@@ -86,6 +86,15 @@ def sweep(vec: Mapping[Diagram, int], sign: int) -> dict[Diagram, int]:
 
 
 @lru_cache(maxsize=None)
+def right_generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The index maps on ``diagram_index(n)`` of right multiplication by
+    each of ``three_generators(n)``, in that order: one table per n for the
+    basis-change certificate, ``verify.check_tensor_homomorphism`` and
+    ``ideals.check_one_dimensional_ideals``.  Cached; treat as read-only."""
+    return multiplication_maps(diagram_index(n), (), three_generators(n))
+
+
+@lru_cache(maxsize=None)
 def basis_change_failures(
     n: int,
 ) -> tuple[tuple[tuple[Diagram, Diagram], ...], bool, int, int]:
@@ -123,8 +132,7 @@ def basis_change_failures(
     index = diagram_index(n)
     gens = three_generators(n)
     deletions = [generator(n, "p", a) for a in range(1, n + 1)]
-    maps = multiplication_maps(index, deletions, gens)
-    clears, right = maps[:n], maps[n:]
+    clears, right = multiplication_maps(index, deletions, ()), right_generator_maps(n)
     bad = {
         (i, j)
         for j, tau in enumerate(right)

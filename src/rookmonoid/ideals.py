@@ -32,13 +32,7 @@ from .algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from .diagrams import (
-    diagram_index,
-    generators,
-    is_permutation,
-    monoid_order,
-    multiplication_maps,
-)
+from .diagrams import diagram_index, monoid_order, multiplication_maps, three_generators
 from .groupoid import (
     basis_change_failures,
     characters,
@@ -48,6 +42,7 @@ from .groupoid import (
     ideal_of_blocks,
     level_blocks,
     missed_words,
+    right_generator_maps,
     tensor_character,
 )
 from .linalg import SpanBasis, apply_map
@@ -60,9 +55,10 @@ SAMPLE_PAIRS = 300
 
 @lru_cache(maxsize=None)
 def _generator_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """Index maps for left and right multiplication by each generator."""
-    gens = generators(n)
-    return multiplication_maps(diagram_index(n), gens, gens)
+    """Index maps for left, then right, multiplication by each of
+    ``three_generators(n)``; the right ones are the shared
+    ``groupoid.right_generator_maps`` table."""
+    return multiplication_maps(diagram_index(n), three_generators(n), ()) + right_generator_maps(n)
 
 
 class IdealSpan(NamedTuple):
@@ -107,36 +103,47 @@ def annihilator_dimension_formula(m: int, n: int) -> int:
 def check_one_dimensional_ideals(n: int) -> dict:
     """The full symmetrizer, full antisymmetrizer, and all-deleting projector
     each span a one-dimensional two-sided ideal, with the advertised
-    generator eigenvalues.
+    generator eigenvalues: every s_i acts as ``eigen["s"]`` and every p_i
+    as ``eigen["p"]``, on either side.
 
-    Every diagram is a product of generators, so span{e} is a two-sided
-    ideal, of dimension 1, exactly when g e and e g are multiples of e for
-    every generator g."""
+    Both claims are checked on the generators s_1, c and p_1 of
+    ``three_generators``, c the n-cycle, which generate R_n.  So span{e} is
+    a two-sided ideal, of dimension 1, exactly when g e and e g are
+    multiples of e for these three g.  For the eigenvalues, c is a product
+    of the n - 1 swaps s_1 .. s_n-1, so it acts as ``eigen["s"]`` ** (n - 1)
+    when they act as advertised.  Conversely, let c e = mu e; mu != 0, since
+    c is invertible and e != 0, so w = c^k has w e = mu^k e and
+    w^-1 e = mu^-k e.  Conjugating by the powers of c carries s_1 to every
+    s_i and p_1 to every p_i: with w^-1 s_1 w = s_i and s_1 e = lambda e,
+    s_i e = w^-1 s_1 (mu^k e) = lambda mu^k w^-1 e = lambda e, and likewise
+    for p_i, and on the right with e c.  So s_1 and p_1 fix the advertised
+    eigenvalues of every s_i and p_i, on each side.  The cycle's
+    eigenvalue is checked under its own label ``c``; at n = 2 the cycle is
+    s_1, and at n = 1 only p_1 is left."""
     everything = tuple(range(1, n + 1))
     cases = [
         ("symmetrizer", symmetrizer(everything, n), {"s": 1, "p": 0}),
         ("antisymmetrizer", antisymmetrizer(everything, n), {"s": -1, "p": 0}),
         ("projector", full_projector(n), {"s": 1, "p": 1}),
     ]
-    gens = generators(n)
+    gens = three_generators(n)
+    labels = ("s_1", "c")[: len(gens) - 1] + ("p_1",)
     maps = _generator_maps(n)
     assertions = []
     for name, elem, eigen in cases:
         coords = element_coordinates(elem)
         j0, c0 = next(iter(coords.items()))
+        expected = {"s_1": eigen["s"], "c": eigen["s"] ** (n - 1), "p_1": eigen["p"]}
 
         def scaled(r):
             return {j: r * c for j, c in coords.items()} if r else {}
 
         outside, bad = [], []
-        for d, left, right in zip(gens, maps, maps[len(gens):]):
-            kind = "s" if is_permutation(d) else "p"
-            # s_i and p_i both first move vertex i
-            label = f"{kind}_{next(a for a, b in enumerate(d, start=1) if a != b)}"
+        for label, left, right in zip(labels, maps, maps[len(gens):]):
             # the coordinates of g e and e g; a product equal to the expected
             # multiple of e passes both assertions
             products = (apply_map(left, coords), apply_map(right, coords))
-            expect = scaled(eigen[kind])
+            expect = scaled(expected[label])
             if all(x == expect for x in products):
                 continue
             bad.append(label)

@@ -21,12 +21,12 @@ from .diagrams import (
     identity,
     is_permutation,
     monoid_order,
-    multiplication_maps,
     rank_class,
     rank_class_size,
     reach,
     three_generators,
 )
+from .groupoid import right_generator_maps
 from .reporting import assertion, report
 from .tensor import diagram_map, tensor_dim
 
@@ -112,7 +112,8 @@ def check_tensor_homomorphism(n: int, m: int) -> dict:
 
     For every diagram d and each of s_1, the n-cycle and p_1
     (``three_generators``) it checks phi(d g) = phi(d) phi(g), reading d g
-    off the right multiplication maps; it checks phi(1) = I, and that the
+    off the right multiplication maps (``groupoid.right_generator_maps``,
+    one table per n for both m); it checks phi(1) = I, and that the
     identity reaches all |R_n| diagrams under those maps (``reach``).  Then
     every e is a word in the generators, so induction on the length of e
     gives phi(d e) = phi(d) phi(e) for all d: phi(d 1) = phi(d) I, and if
@@ -128,7 +129,7 @@ def check_tensor_homomorphism(n: int, m: int) -> dict:
     diags = all_diagrams(n)
     index = diagram_index(n)
     gens = three_generators(n)
-    right = multiplication_maps(index, (), gens)
+    right = right_generator_maps(n)
     one = identity(n)
     phi = {d: diagram_map(d, m) for d in diags}
     times = [itemgetter(*phi[g]) for g in gens]

@@ -17,10 +17,12 @@ from rookmonoid.algebra import (
     Coeff,
     antisymmetrizer,
     element_coordinates,
+    full_projector,
     symmetrizer,
     top_antisymmetrizer,
 )
 from rookmonoid.diagrams import (
+    Diagram,
     Perm,
     Quadruple,
     all_diagrams,
@@ -29,8 +31,8 @@ from rookmonoid.diagrams import (
     coset_reps,
     diagram_index,
     generator,
-    generators,
     identity,
+    is_permutation,
     monoid_order,
     multiplication_maps,
     perm_length,
@@ -42,6 +44,7 @@ from rookmonoid import groupoid
 from rookmonoid.groupoid import growth_words, level_blocks, level_ideal, sweep
 from rookmonoid.ideals import IdealSpan
 from rookmonoid.linalg import SpanBasis, SparseMatrix, apply_map, nullspace, row_space, saturate
+from rookmonoid.reporting import assertion, report
 from rookmonoid.specht import (
     Tableau,
     partitions_of,
@@ -61,6 +64,65 @@ def transposition(n: int, i: int, j: int) -> Perm:
     img = list(identity(n))
     img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
     return tuple(img)
+
+
+def generators(n: int) -> tuple[Diagram, ...]:
+    """The 2n-1 monoid generators: s_1 .. s_n-1, then p_1 .. p_n.
+
+    >>> generators(2)
+    ((2, 1), (0, 2), (1, 0))
+    """
+    swaps = [generator(n, "s", i) for i in range(1, n)]
+    return tuple(swaps + [generator(n, "p", i) for i in range(1, n + 1)])
+
+
+def one_dimensional_ideals_by_all_generators(n: int) -> dict:
+    """``ideals.check_one_dimensional_ideals`` on all 2n-1 generators of
+    ``generators``, each labelled s_i or p_i, with the same assertions: the
+    reference for the check on the three generators.  The three elements
+    are looked up here at call time, so a test can substitute others."""
+    everything = tuple(range(1, n + 1))
+    cases = [
+        ("symmetrizer", symmetrizer(everything, n), {"s": 1, "p": 0}),
+        ("antisymmetrizer", antisymmetrizer(everything, n), {"s": -1, "p": 0}),
+        ("projector", full_projector(n), {"s": 1, "p": 1}),
+    ]
+    gens = generators(n)
+    maps = multiplication_maps(diagram_index(n), gens, gens)
+    assertions = []
+    for name, elem, eigen in cases:
+        coords = element_coordinates(elem)
+        j0, c0 = next(iter(coords.items()))
+
+        def scaled(r):
+            return {j: r * c for j, c in coords.items()} if r else {}
+
+        outside, bad = [], []
+        for d, left, right in zip(gens, maps, maps[len(gens):]):
+            kind = "s" if is_permutation(d) else "p"
+            # s_i and p_i both first move vertex i
+            label = f"{kind}_{next(a for a, b in enumerate(d, start=1) if a != b)}"
+            products = (apply_map(left, coords), apply_map(right, coords))
+            if all(x == scaled(eigen[kind]) for x in products):
+                continue
+            bad.append(label)
+            if any(scaled(x.get(j0, 0)) != {j: c0 * c for j, c in x.items()} for x in products):
+                outside.append(label)
+        assertions.append(
+            assertion(
+                f"{name} ideal is one-dimensional",
+                not outside,
+                {"outside": outside} if outside else {"dim": 1},
+            )
+        )
+        assertions.append(
+            assertion(
+                f"{name} generator eigenvalues",
+                not bad,
+                {"expected": eigen} if not bad else {"violations": bad},
+            )
+        )
+    return report("one-dimensional-ideals", {"n": n}, assertions)
 
 
 def isolated_top(d: tuple[int, ...]) -> tuple[int, ...]:

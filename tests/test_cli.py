@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -24,8 +25,8 @@ from rookmonoid.caps import (
     quasi_idempotent_pairs,
 )
 from rookmonoid.algebra import AlgebraElement, tableau_quasi_idempotent
-from rookmonoid import caps, groupoid, ideals, linalg, specht, verify
-from rookmonoid.cli import main
+from rookmonoid import caps, cli, groupoid, ideals, linalg, specht, verify
+from rookmonoid.cli import COMMANDS, main
 from rookmonoid.diagrams import monoid_order, three_generators
 from rookmonoid.ideals import block_ideal, check_annihilator_ideal
 from rookmonoid.linalg import SpanBasis
@@ -184,6 +185,52 @@ def test_verify_all_small(capsys):
     names = [a["name"] for a in data["assertions"]]
     assert len(names) == len(set(names))
     assert any(name.startswith("schur-weyl") or "annihilator" in name for name in names)
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``, usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(([command, "--help"], 0) for command in COMMANDS),
+    (["verify-all", "--bogus"], 2),  # an unknown option after a command
+    (["verify-all", "--n", "x"], 2),  # a bad value
+    (["verify-blocks"], 2),  # a missing required option
+    (["mul", "--diagram", "1,2"], 2),  # a usage error raised after parsing
+    (["bogus"], 2),  # an unknown command
+    ([], 2),  # no command
+    (["--help"], 0),
+])
+def test_one_subparser_reads_as_the_full_parser(argv, code, monkeypatch, capsys):
+    # a start builds only the subparser it runs; usage lines, help and errors
+    # must read exactly as with every subparser built
+    partial = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: full())
+    assert _outcome(argv, capsys) == partial
+    assert partial[0] == code and (partial[1] if code == 0 else partial[2]).startswith("usage: rookmonoid")
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["verify-all", "--n", "2", "--m", "1"]) == 0
+    assert built == ["verify-all"]
+    built.clear()
+    assert _outcome(["--help"], capsys)[0] == 0
+    assert built == list(COMMANDS)
 
 
 def test_cap_exit_code(capsys):

@@ -86,6 +86,22 @@ def test_product_is_partial_injection_and_rank_drops(a, b):
     assert dg.rank(ab) <= min(dg.rank(a), dg.rank(b))
 
 
+def test_is_diagram_keeps_the_slot_by_slot_definition():
+    # every tuple over -1..n+1, so out-of-range, repeated and zero entries
+    # meet in every combination; the empty tuple is the one diagram of size 0
+    def by_slots(img):
+        n = len(img)
+        hit = [b for b in img if b != 0]
+        return all(0 <= b <= n for b in img) and len(hit) == len(set(hit))
+
+    for n in range(5):
+        tuples = list(itertools.product(range(-1, n + 2), repeat=n))
+        for img in tuples:
+            assert dg.is_diagram(img) == by_slots(img), img
+        assert sum(map(dg.is_diagram, tuples)) == dg.monoid_order(n)
+    assert dg.is_diagram(()) and dg.is_diagram([2, 0, 1]) and not dg.is_diagram([2, 2, 0])
+
+
 def test_star_basics():
     assert dg.star((2, 1)) == (2, 1)
     assert dg.star((0, 2)) == (0, 2)

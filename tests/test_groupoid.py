@@ -67,10 +67,13 @@ def _failed(rep):
 
 @pytest.fixture
 def fresh_certificate():
-    # the certificate is cached per n; a mutated run must not leave its result behind
-    basis_change_failures.cache_clear()
+    # the certificate and its right maps are cached per n; a mutated run must
+    # not leave its result behind, nor find one left by an earlier run
+    for cache in (basis_change_failures, groupoid.right_generator_maps):
+        cache.cache_clear()
     yield
-    basis_change_failures.cache_clear()
+    for cache in (basis_change_failures, groupoid.right_generator_maps):
+        cache.cache_clear()
 
 
 @pytest.fixture

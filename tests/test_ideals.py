@@ -6,6 +6,7 @@ import pytest
 from rookmonoid import ideals
 from rookmonoid.algebra import (
     AlgebraElement,
+    antisymmetrizer,
     element_coordinates,
     full_projector,
     quasi_idempotent_factors,
@@ -13,7 +14,7 @@ from rookmonoid.algebra import (
     tableau_quasi_idempotent,
     top_antisymmetrizer,
 )
-from rookmonoid.diagrams import all_diagrams, rank, rank_class_size
+from rookmonoid.diagrams import all_diagrams, generator, identity, rank, rank_class_size
 from rookmonoid.ideals import (
     DEFAULT_SEED,
     SAMPLE_PAIRS,
@@ -32,10 +33,12 @@ from rookmonoid import specht
 from rookmonoid.specht import all_shapes, row_filled_tableau, specht_dimension
 from rookmonoid.tensor import annihilator_basis
 
+import oracles
 from oracles import (
     act_on_tabloid_vector_by_terms,
     expanded_quasi_idempotent,
     floor_span,
+    one_dimensional_ideals_by_all_generators,
     two_sided_ideal_exhaustive,
 )
 
@@ -123,24 +126,79 @@ def test_annihilator_formula_counts_tall_shapes():
 
 
 def test_one_dimensional_ideals_report():
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         rep = check_one_dimensional_ideals(n)
         assert rep["pass"], rep
         assert all(a["pass"] for a in rep["assertions"])
         assert rep["assertions"][0]["witness"] == {"dim": 1}
+        assert rep["assertions"][1]["witness"] == {"expected": {"s": 1, "p": 0}}
+
+
+def _substitute(monkeypatch, name, elem):
+    """Put ``elem`` in place of the element that ``name`` builds, in the
+    check and in its all-generator reference alike."""
+    for module in (ideals, oracles):
+        monkeypatch.setattr(module, name, lambda *args: elem)
+
+
+def _verdicts(rep):
+    return [(a["name"], a["pass"]) for a in rep["assertions"]]
 
 
 def test_one_dimensional_ideals_catch_a_span_that_is_not_an_ideal(monkeypatch):
-    # 1 + s_1 at n = 3: s_2 (1 + s_1) = s_2 + s_2 s_1 is no multiple of it
+    # 1 + s_1 at n = 3: c (1 + s_1) = c + c s_1 is no multiple of it (as is
+    # s_2 (1 + s_1), which the all-generator reference names instead)
     n = 3
-    one_plus_swap = AlgebraElement(n, {(1, 2, 3): 1, (2, 1, 3): 1})
-    monkeypatch.setattr(ideals, "symmetrizer", lambda subset, n: one_plus_swap)
+    _substitute(monkeypatch, "symmetrizer", AlgebraElement(n, {(1, 2, 3): 1, (2, 1, 3): 1}))
     rep = check_one_dimensional_ideals(n)
     assert not rep["pass"]
     verdicts = {a["name"]: a for a in rep["assertions"]}
     assert not verdicts["symmetrizer ideal is one-dimensional"]["pass"]
-    assert "s_2" in verdicts["symmetrizer ideal is one-dimensional"]["witness"]["outside"]
+    assert "c" in verdicts["symmetrizer ideal is one-dimensional"]["witness"]["outside"]
     assert verdicts["antisymmetrizer ideal is one-dimensional"]["pass"]
+    reference = one_dimensional_ideals_by_all_generators(n)
+    assert "s_2" in reference["assertions"][0]["witness"]["outside"]
+    assert _verdicts(rep) == _verdicts(reference)
+
+
+def test_only_the_cycle_catches_a_symmetrizer_of_part_of_the_vertices(monkeypatch):
+    # s_1 acts as 1 and p_1 as 0 on both sides of the symmetrizer of {1, 2},
+    # as on the full one; s_2 and p_3 move vertex 3, and of the three
+    # generators only the cycle does
+    n = 3
+    _substitute(monkeypatch, "symmetrizer", symmetrizer((1, 2), n))
+    symmetrizer_verdicts = check_one_dimensional_ideals(n)["assertions"][:2]
+    assert [a["witness"] for a in symmetrizer_verdicts] == [{"outside": ["c"]}, {"violations": ["c"]}]
+    reference = one_dimensional_ideals_by_all_generators(n)["assertions"][:2]
+    assert [a["pass"] for a in reference] == [False, False]
+    assert {"s_2", "p_3"} <= set(reference[1]["witness"]["violations"])
+
+
+def test_three_generators_decide_what_all_generators_decide(monkeypatch):
+    # the real elements, each also in the others' places (an ideal with the
+    # wrong eigenvalues), and spans that are no ideal
+    for n in range(1, 5):
+        assert _verdicts(check_one_dimensional_ideals(n)) == _verdicts(
+            one_dimensional_ideals_by_all_generators(n)
+        ), n
+        everything = range(1, n + 1)
+        elements = [symmetrizer(everything, n), antisymmetrizer(everything, n), full_projector(n)]
+        elements += [AlgebraElement.from_diagram(generator(n, "p", 1))]
+        for k in range(1, n):
+            elements += [symmetrizer(range(1, k + 1), n), antisymmetrizer(range(1, k + 1), n)]
+            elements += [symmetrizer(range(n - k + 1, n + 1), n)]
+        if n > 1:
+            elements += [AlgebraElement(n, {identity(n): 1, generator(n, "s", 1): 1})]
+        seen = set()  # (ideal, eigenvalues) verdicts on the substituted element
+        for slot, name in enumerate(("symmetrizer", "antisymmetrizer", "full_projector")):
+            for elem in elements:
+                _substitute(monkeypatch, name, elem)
+                verdicts = _verdicts(check_one_dimensional_ideals(n))
+                assert verdicts == _verdicts(one_dimensional_ideals_by_all_generators(n)), (n, name, elem)
+                seen.add((verdicts[2 * slot][1], verdicts[2 * slot + 1][1]))
+            monkeypatch.undo()
+        # at n = 1 the substitutes are 1 - p_1 and p_1, and both span ideals
+        assert seen == {(True, True), (True, False)} | ({(False, False)} if n > 1 else set()), n
 
 
 def test_block_decomposition_report():
