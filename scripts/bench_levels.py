@@ -27,6 +27,11 @@ tensor homomorphism certificate alone (``check_tensor_homomorphism``) at
 Specht characters alone (``groupoid.characters(k)``, the per-level
 certificate of the check) for each k <= 8, each in a fresh interpreter,
 with their time, whether they certify the level and the peak memory.
+Each timed row runs ``REPEATS`` times, alternating with the second
+checkout when one is given, since the host's speed moves a single run by
+up to half: the row records its runs' wall times (``wall_runs_s``), and
+each time in it (a key ending in ``_s``) is the median over the runs; its
+other fields come from the run of median wall time.
 Writes the result as JSON:
 
     python3 scripts/bench_levels.py BENCH_levels.json [PARENT_CHECKOUT]
@@ -45,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RAISED_CAP = 100_000_000
+REPEATS = 3  # runs of each timed row; odd, so the median is a run's own time
 CASES = [(m, n) for n in (6, 7) for m in range(1, n)] + [(1, 5), (2, 5)]
 REFUSED = [(1, 8), (2, 8)]
 SPECHT_DIMS = {6: 0, 7: 0, 8: 0, 9: 3}  # n -> expected exit code
@@ -176,6 +182,34 @@ def outcome(wall: float, proc: subprocess.CompletedProcess) -> dict:
             "exit_code": proc.returncode, "pass": rep.get("pass")}
 
 
+def repeated(once, parent: Path | None = None) -> dict:
+    """``once(root)`` run ``REPEATS`` times in this checkout, each followed
+    by a run in ``parent`` when one is given, summed up by ``median_entry``;
+    the parent's summary goes under ``"parent"``."""
+    roots = [ROOT, parent] if parent else [ROOT]
+    runs = [[] for _ in roots]
+    for _ in range(REPEATS):
+        for root, done in zip(roots, runs):
+            done.append(once(root))
+    entry, *beside = map(median_entry, runs)
+    return entry | {"parent": beside[0]} if beside else entry
+
+
+def median_entry(runs: list[dict]) -> dict:
+    """The run of median wall time, each time in it replaced by the median
+    over ``runs``, and the runs' wall times in ``wall_runs_s``."""
+    def median(values):
+        return sorted(values)[len(values) // 2]
+
+    middle = sorted(runs, key=lambda r: r["wall_s"])[len(runs) // 2]
+    times = {
+        key: median([r[key] for r in runs])
+        for key, value in middle.items()
+        if key.endswith("_s") and isinstance(value, (int, float))
+    }
+    return {**middle, **times, "wall_runs_s": [r["wall_s"] for r in runs]}
+
+
 def certificate_run(params: dict, root: Path, script: str = CERTIFICATE) -> dict:
     """One certificate alone at ``params`` (n, or k, or n and m), in a
     fresh interpreter."""
@@ -203,62 +237,63 @@ def product_run(argv: list[str], root: Path) -> dict:
     return entry
 
 
+def case_run(m: int, n: int, root: Path) -> dict:
+    """The whole check at (m, n); in this checkout also its Specht count
+    alone and the per-level dimensions, and in another the cap raised."""
+    if root != ROOT:
+        return outcome(*run(m, n, RAISED_CAP, root=root))
+    wall, proc = run(m, n)
+    fills = next(
+        a for a in json.loads(proc.stdout)["assertions"]
+        if a["name"] == "ideal fills the annihilator"
+    )
+    return {
+        "m": m,
+        "n": n,
+        **outcome(wall, proc),
+        "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
+        "annihilator": fills["witness"]["annihilator"],
+        "dim_ann_k": fills["witness"]["annihilator_by_level"],
+        "dim_I_k": fills["witness"]["ideal_by_level"],
+    }
+
+
+def refused_run(m: int, n: int, root: Path) -> dict:
+    wall, proc = run(m, n, root=root)
+    return {"m": m, "n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode,
+            "stderr": proc.stderr.strip()}
+
+
+def specht_dims_run(n: int, root: Path) -> dict:
+    wall, proc = run_argv(["-m", "rookmonoid", "specht-dims", "--n", str(n)], root)
+    entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
+    if proc.returncode == 0:
+        entry["sum_of_squares"] = json.loads(proc.stdout)["sum_of_squares"]
+    else:
+        entry["stderr"] = proc.stderr.strip()
+    return entry
+
+
 def main(out: str, parent: Path | None = None) -> int:
-    cases = []
-    for m, n in CASES:
-        wall, proc = run(m, n)
-        rep = json.loads(proc.stdout)
-        fills = next(a for a in rep["assertions"] if a["name"] == "ideal fills the annihilator")
-        cases.append({
-            "m": m,
-            "n": n,
-            **outcome(wall, proc),
-            "specht_count_wall_s": round(run(m, n, formula_only=True)[0], 2),
-            "annihilator": fills["witness"]["annihilator"],
-            "dim_ann_k": fills["witness"]["annihilator_by_level"],
-            "dim_I_k": fills["witness"]["ideal_by_level"],
-        })
-        if parent:
-            cases[-1]["parent"] = outcome(*run(m, n, RAISED_CAP, root=parent))
-        print(json.dumps(cases[-1]), file=sys.stderr)
-    refused = []
-    for m, n in REFUSED:
-        wall, proc = run(m, n)
-        refused.append({"m": m, "n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode,
-                        "stderr": proc.stderr.strip()})
-    specht_dims = []
-    for n in SPECHT_DIMS:
-        wall, proc = run_argv(["-m", "rookmonoid", "specht-dims", "--n", str(n)])
-        entry = {"n": n, "wall_s": round(wall, 2), "exit_code": proc.returncode}
-        if proc.returncode == 0:
-            entry["sum_of_squares"] = json.loads(proc.stdout)["sum_of_squares"]
-        else:
-            entry["stderr"] = proc.stderr.strip()
-        specht_dims.append(entry)
-        print(json.dumps(entry), file=sys.stderr)
-    products = []
-    for argv, expected in PRODUCTS:
-        entry = {"argv": argv, **product_run(argv, ROOT), "expected_exit_code": expected}
-        if parent:
-            entry["parent"] = product_run(argv, parent)
-        products.append(entry)
-        print(json.dumps(entry), file=sys.stderr)
-    certificate = []
-    for n in CERTIFICATE_N:
-        entry = certificate_run({"n": n}, ROOT)
-        if parent:
-            entry["parent"] = certificate_run({"n": n}, parent)
-        certificate.append(entry)
-        print(json.dumps(entry), file=sys.stderr)
-    tensor = []
-    for n, m in TENSOR_CASES:
-        entry = certificate_run({"n": n, "m": m}, ROOT, TENSOR)
-        if parent:
-            entry["parent"] = certificate_run({"n": n, "m": m}, parent, TENSOR)
-        tensor.append(entry)
-        print(json.dumps(entry), file=sys.stderr)
-    characters = [certificate_run({"k": k}, ROOT, CHARACTERS) for k in CHARACTERS_K]
-    print(json.dumps(characters), file=sys.stderr)
+    def rows(once, params, beside=parent):
+        entries = []
+        for p in params:
+            entries.append(repeated(lambda root: once(*p, root), beside))
+            print(json.dumps(entries[-1]), file=sys.stderr)
+        return entries
+
+    cases = rows(case_run, CASES)
+    refused = rows(refused_run, REFUSED, None)
+    specht_dims = rows(specht_dims_run, [(n,) for n in SPECHT_DIMS], None)
+    products = [
+        {"argv": argv, **entry, "expected_exit_code": expected}
+        for (argv, expected), entry in zip(PRODUCTS, rows(product_run, [(a,) for a, _ in PRODUCTS]))
+    ]
+    certificate = rows(certificate_run, [({"n": n},) for n in CERTIFICATE_N])
+    tensor = rows(lambda params, root: certificate_run(params, root, TENSOR),
+                  [({"n": n, "m": m},) for n, m in TENSOR_CASES])
+    characters = rows(lambda params, root: certificate_run(params, root, CHARACTERS),
+                      [({"k": k},) for k in CHARACTERS_K], None)
     record = {
         "command": "python3 scripts/bench_levels.py BENCH_levels.json",
         "machine": {

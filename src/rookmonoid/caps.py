@@ -28,7 +28,7 @@ class SizeCapError(RuntimeError):
         )
 
 
-def check_cap(quantity: str, value: int, cap: int = DEFAULT_MAX_CELLS) -> None:
+def check_cap(quantity: str, value: int, cap: int) -> None:
     if value > cap:
         raise SizeCapError(quantity, value, cap)
 
@@ -122,7 +122,7 @@ def level_work(n: int) -> int:
     return (n + 3) * monoid_order(n) + 2 * specht_entries(n)
 
 
-def check_level_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+def check_level_cap(m: int, n: int, max_cells: int) -> None:
     check_cap(f"groupoid level work at m={m}, n={n}", level_work(n), max_cells)
 
 
@@ -136,7 +136,7 @@ def _tall_shapes(r: int, rows: int, widest: int) -> Iterator[Shape]:
             yield from ((a,) + tail for tail in _tall_shapes(r - a, rows - 1, a))
 
 
-def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+def check_absorption_cap(m: int, n: int, max_cells: int) -> None:
     """Refuse ``check_absorption`` when its term pairs exceed ``max_cells``:
     per shape with more than m rows, ``quasi_idempotent_pairs`` for e and
     again from y's (m+2)! terms for y e.  The count stops at the first shape
@@ -150,7 +150,7 @@ def check_absorption_cap(m: int, n: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
             check_cap(f"absorption term pairs at m={m}, n={n}", pairs, max_cells)
 
 
-def check_orthogonality_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+def check_orthogonality_cap(n: int, max_cells: int) -> None:
     """Refuse ``check_specht_orthogonality`` when the tableaux it lists,
     C(n,r) r! per shape of r boxes, plus the entries of the tabloid maps it
     holds, one per tabloid of every shape for each of the identity, the
@@ -184,7 +184,7 @@ def block_entries(n: int) -> int:
     return total
 
 
-def check_block_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+def check_block_cap(n: int, max_cells: int) -> None:
     """Refuse the block decomposition at n when the monoid order, then
     ``block_entries``, exceeds ``max_cells``; the order goes first, so an
     absurd n is refused before its shapes are listed."""
@@ -210,7 +210,7 @@ def specht_entries(n: int) -> int:
     return (n - 1) * tabloid_count(n)
 
 
-def check_specht_cap(n: int, max_cells: int = DEFAULT_MAX_CELLS) -> None:
+def check_specht_cap(n: int, max_cells: int) -> None:
     """Refuse the Specht bases of every shape at n when ``specht_entries``
     exceeds ``max_cells``."""
     check_cap(f"Specht swap-map entries at n={n}", specht_entries(n), max_cells)

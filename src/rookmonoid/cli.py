@@ -205,94 +205,84 @@ def cmd_specht_dims(args, parser) -> int:
     return EXIT_PASS
 
 
-def cmd_verify_presentation(args, parser) -> int:
-    return _report_exit(diagrams.verify_presentation(args.n), args)
+def _sizes(low: int, high: int) -> list[dict]:
+    return [{"n": n} for n in range(low, high + 1)]
 
 
-def cmd_verify_blocks(args, parser) -> int:
-    caps.check_block_cap(args.n, args.max_cells)
-    return _report_exit(ideals.check_block_decomposition(args.n), args)
+def _narrow(n_top: int, m_max: int) -> list[dict]:
+    return [{"m": m, "n": n} for n in range(2, n_top + 1) for m in range(1, min(n - 1, m_max) + 1)]
 
 
-def cmd_verify_orthogonality(args, parser) -> int:
-    caps.check_orthogonality_cap(args.n)
-    return _report_exit(ideals.check_specht_orthogonality(args.n), args)
+# family: (check, guard or None, its rows in verify-all --n N --m M).  Both
+# are called as their modules bind their names at the call, so a patched or
+# traced name is the one run; a row's key order spells both its task label
+# in verify-all and its guard's arguments.
+FAMILIES = {
+    "counting": (verify.check_counting, caps.check_order_cap, lambda N, M: _sizes(1, N)),
+    "presentation": (diagrams.verify_presentation, None, lambda N, M: _sizes(2, N)),
+    "factorization": (verify.check_factorization, caps.check_order_cap, lambda N, M: _sizes(1, N)),
+    "one-dimensional-ideals": (ideals.check_one_dimensional_ideals, None,
+                               lambda N, M: _sizes(2, min(N, 4))),
+    "tensor-homomorphism": (verify.check_tensor_homomorphism, caps.check_tensor_map_cap,
+                            lambda N, M: [{"n": n, "m": m} for n in range(2, min(N, 4) + 1)
+                                          for m in range(1, min(M, 2) + 1)]),
+    "faithful": (ideals.check_faithful_action, caps.check_tensor_cap,
+                 lambda N, M: [{"m": k, "n": k} for k in range(1, min(N, M) + 1)]
+                 + [{"m": 3, "n": 2}] * (M >= 3)),
+    "annihilator": (ideals.check_annihilator_ideal, caps.check_level_cap, _narrow),
+    "blocks": (ideals.check_block_decomposition, caps.check_block_cap,
+               lambda N, M: _sizes(2, min(N, 4))),
+    "specht-orthogonality": (ideals.check_specht_orthogonality, caps.check_orthogonality_cap,
+                             lambda N, M: _sizes(2, min(N, 3))),
+    "absorption": (ideals.check_absorption, caps.check_absorption_cap,
+                   lambda N, M: _narrow(min(N, 4), M)),
+    "specht-dimensions": (verify.check_specht_dimension_sum, None,
+                          lambda N, M: _sizes(2, min(N, 4))),
+}
 
 
-def cmd_verify_schur_weyl(args, parser) -> int:
-    m, n = args.m, args.n
-    if m < 0:
-        parser.error(f"need 0 <= m < n, got m={m}, n={n}")
-    if m >= n:
-        caps.check_tensor_cap(m, n, args.max_cells)
-        rep = ideals.check_faithful_action(m, n)
-    else:
-        caps.check_level_cap(m, n, args.max_cells)
-        rep = ideals.check_annihilator_ideal(m, n)
-    return _report_exit(rep, args)
+def _bound(func):
+    """What ``func``'s module binds its name to now."""
+    return getattr(sys.modules[func.__module__], func.__name__)
 
 
-def cmd_verify_absorption(args, parser) -> int:
-    caps.check_absorption_cap(args.m, args.n)
-    return _report_exit(ideals.check_absorption(args.m, args.n), args)
+def _guarded_checks(rows: list[tuple[str, dict]], max_cells: int | None):
+    """The report of each (family, row) check, every row's guard run before
+    the first check, so that a refusal comes before any work."""
+    for family, row in rows:
+        if guard := FAMILIES[family][1]:
+            _bound(guard)(**row, max_cells=max_cells)
+    for family, row in rows:
+        yield _bound(FAMILIES[family][0])(**row)
 
 
-def _verify_all_tasks(n_max: int, m_max: int, max_cells: int):
-    """The task grid, with every size-capped resource checked up front."""
-    if n_max < 2 or m_max < 1:
-        raise ValueError(f"need n >= 2 and m >= 1, got n={n_max}, m={m_max}")
-    sizes = [{"n": n} for n in range(1, n_max + 1)]
-    small = sizes[1:4]  # n = 2..4
-    tensor_pairs = [p | {"m": m} for p in small for m in range(1, min(m_max, 2) + 1)]
-    faithful = [{"m": k, "n": k} for k in range(1, min(n_max, m_max) + 1)]
-    if m_max >= 3:
-        faithful.append({"m": 3, "n": 2})
-
-    def narrow(n_top: int) -> list[dict]:
-        return [
-            {"m": m, "n": n}
-            for n in range(2, n_top + 1)
-            for m in range(1, min(n - 1, m_max) + 1)
-        ]
-
-    # (family, check, parameter dicts, guard run up front)
-    table = [
-        ("counting", verify.check_counting, sizes, caps.check_order_cap),
-        ("presentation", diagrams.verify_presentation, sizes[1:], None),
-        ("factorization", verify.check_factorization, sizes, caps.check_order_cap),
-        ("one-dimensional-ideals", ideals.check_one_dimensional_ideals, small, None),
-        ("tensor-homomorphism", verify.check_tensor_homomorphism, tensor_pairs,
-         caps.check_tensor_map_cap),
-        ("faithful", ideals.check_faithful_action, faithful, caps.check_tensor_cap),
-        ("annihilator", ideals.check_annihilator_ideal, narrow(n_max), caps.check_level_cap),
-        ("blocks", ideals.check_block_decomposition, small, caps.check_block_cap),
-        ("specht-orthogonality", ideals.check_specht_orthogonality, sizes[1:3],
-         caps.check_orthogonality_cap),
-        ("absorption", ideals.check_absorption, narrow(min(n_max, 4)), caps.check_absorption_cap),
-        ("specht-dimensions", verify.check_specht_dimension_sum, small, None),
-    ]
-    tasks = []
-    for family, check, params, guard in table:
-        for p in params:
-            if guard:
-                guard(**p, max_cells=max_cells)
-            label = ",".join(f"{key}={value}" for key, value in p.items())
-            tasks.append((f"{family}({label})", check, p))
-    return tasks
+def cmd_verify(args, parser) -> int:
+    """The command's one row, guarded then checked as in verify-all; the
+    family of verify-schur-weyl is ``faithful`` when m >= n and
+    ``annihilator`` otherwise."""
+    row = {key: vars(args)[key] for key in ("m", "n") if key in vars(args)}
+    family = {"verify-presentation": "presentation", "verify-blocks": "blocks",
+              "verify-lemma-3-10": "specht-orthogonality",
+              "verify-lemma-4-4": "absorption"}.get(args.command)
+    if family is None:
+        if args.m < 0:
+            parser.error(f"need 0 <= m < n, got m={args.m}, n={args.n}")
+        family = "faithful" if args.m >= args.n else "annihilator"
+    rows = [(family, row)]
+    return _report_exit(next(_guarded_checks(rows, getattr(args, "max_cells", None))), args)
 
 
 def cmd_verify_all(args, parser) -> int:
-    try:
-        tasks = _verify_all_tasks(args.n, args.m, args.max_cells)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.n < 2 or args.m < 1:
+        parser.error(f"need n >= 2 and m >= 1, got n={args.n}, m={args.m}")
+    rows = [(family, row) for family, spec in FAMILIES.items() for row in spec[2](args.n, args.m)]
     assertions = []
-    for name, check, kwargs in tasks:
-        sub = check(**kwargs)
+    for (family, row), sub in zip(rows, _guarded_checks(rows, args.max_cells)):
         failed = [
             {"name": a["name"], "witness": a["witness"]} for a in sub["assertions"] if not a["pass"]
         ]
-        assertions.append(assertion(name, sub["pass"], failed or None))
+        label = ",".join(f"{key}={value}" for key, value in row.items())
+        assertions.append(assertion(f"{family}({label})", sub["pass"], failed or None))
     params = {"n": args.n, "m": args.m, "max_cells": args.max_cells}
     return _report_exit(report("verify-all", params, assertions), args)
 
@@ -325,13 +315,12 @@ COMMANDS = {
         ("--n", _INT),
         ("--format", {"choices": ["json", "csv"], "default": "json"}),
     ]),
-    "verify-presentation": (cmd_verify_presentation, False, "check the defining relations", [("--n", _INT)]),
-    "verify-blocks": (cmd_verify_blocks, True, "block ideal decomposition", [("--n", _INT)]),
-    "verify-lemma-3-10": (cmd_verify_orthogonality, False, "quasi-idempotents kill other shapes",
-                          [("--n", _INT)]),
-    "verify-schur-weyl": (cmd_verify_schur_weyl, True, "annihilator of the tensor action",
+    "verify-presentation": (cmd_verify, False, "check the defining relations", [("--n", _INT)]),
+    "verify-blocks": (cmd_verify, True, "block ideal decomposition", [("--n", _INT)]),
+    "verify-lemma-3-10": (cmd_verify, True, "quasi-idempotents kill other shapes", [("--n", _INT)]),
+    "verify-schur-weyl": (cmd_verify, True, "annihilator of the tensor action",
                           [("--n", _INT), ("--m", _INT)]),
-    "verify-lemma-4-4": (cmd_verify_absorption, False, "antisymmetrizer absorption on tall shapes",
+    "verify-lemma-4-4": (cmd_verify, True, "antisymmetrizer absorption on tall shapes",
                          [("--n", _INT), ("--m", _INT)]),
     "verify-all": (cmd_verify_all, True, "run the whole verification grid", [
         ("--n", {"type": int, "default": 3, "help": "largest diagram size"}),

@@ -351,10 +351,10 @@ def test_lemma_guards_refuse_what_they_count(argv, quantity, capsys):
     # 20,258,530
     assert main(argv) == 3
     assert quantity in capsys.readouterr().err
-    check_orthogonality_cap(7)
+    check_orthogonality_cap(7, DEFAULT_MAX_CELLS)
     for m in range(6):
-        check_absorption_cap(m, 6)
-    check_absorption_cap(6, 7)
+        check_absorption_cap(m, 6, DEFAULT_MAX_CELLS)
+    check_absorption_cap(6, 7, DEFAULT_MAX_CELLS)
     assert main(["verify-lemma-4-4", "--n", "3", "--m", "1"]) == 0
     # the guard visits every shape with more than m rows: one pair short of
     # the whole count, it refuses on the last shape with the whole count
@@ -409,9 +409,9 @@ NARROW_ROWS = [(m, n, D) for n in range(2, 5) for m in range(1, n)]
     (["verify-blocks", "--n", "3"], "check_block_cap", "ideals.check_block_decomposition",
      [(3, D)]),
     (["verify-lemma-3-10", "--n", "3"], "check_orthogonality_cap",
-     "ideals.check_specht_orthogonality", [(3,)]),
+     "ideals.check_specht_orthogonality", [(3, D)]),
     (["verify-lemma-4-4", "--n", "3", "--m", "1"], "check_absorption_cap",
-     "ideals.check_absorption", [(1, 3)]),
+     "ideals.check_absorption", [(1, 3, D)]),
     (["verify-schur-weyl", "--n", "3", "--m", "1"], "check_level_cap",
      "ideals.check_annihilator_ideal", [(1, 3, D)]),
     (["verify-schur-weyl", "--n", "2", "--m", "2"], "check_tensor_cap",
@@ -454,6 +454,80 @@ def test_guard_runs_before_its_check(argv, guard, check, guarded, monkeypatch, c
     assert calls == guarded
     assert f"refusing: {guard} = 1" in captured.err
     assert captured.out == ""
+
+
+MAX_CELLS_ROWS = [  # (argv, a cap one below the guard's count, the refusal's quantity)
+    (["enumerate", "--n", "3"], 33, "rook monoid order at n=3 = 34"),
+    (["symmetrizer", "--n", "3"], 135, "sym output cells terms*(n+1) at r=3, n=3 = 136"),
+    (["e-element", "--n", "3", "--lambda", "2,1"], 61,
+     "quasi-idempotent term pairs at shape (2,1), n=3 = 62"),
+    (["specht-dims", "--n", "3"], 45, "Specht swap-map entries at n=3 = 46"),
+    (["verify-blocks", "--n", "3"], 69, "block ideal echelon entries at n=3 = 70"),
+    (["verify-lemma-3-10", "--n", "3"], 194, "tableaux plus tabloid map entries at n=3 = 195"),
+    (["verify-schur-weyl", "--n", "3", "--m", "1"], 295, "groupoid level work at m=1, n=3 = 296"),
+    (["verify-lemma-4-4", "--n", "3", "--m", "1"], 765, "absorption term pairs at m=1, n=3 = 766"),
+    (["verify-all", "--n", "2", "--m", "1"], 6, "rook monoid order at n=2 = 7"),
+]
+
+
+def test_max_cells_rows_cover_every_guarded_command():
+    assert [argv[0] for argv, _, _ in MAX_CELLS_ROWS] == [
+        name for name, (_, capped, _, _) in COMMANDS.items() if capped
+    ]
+
+
+@pytest.mark.parametrize("argv, cap, quantity", MAX_CELLS_ROWS,
+                         ids=[argv[0] for argv, _, _ in MAX_CELLS_ROWS])
+def test_every_guarded_command_reads_max_cells(argv, cap, quantity, capsys):
+    # one cell short of the count is refused, naming the quantity; the
+    # default cap admits the same size
+    assert main([*argv, "--max-cells", str(cap)]) == 3
+    captured = capsys.readouterr()
+    assert f"refusing: {quantity} exceeds the size cap {cap}\n" == captured.err
+    assert captured.out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-presentation", "--n", "4"],
+    ["verify-blocks", "--n", "4"],
+    ["verify-lemma-3-10", "--n", "3"],
+    ["verify-lemma-4-4", "--n", "4", "--m", "3"],
+    ["verify-schur-weyl", "--n", "4", "--m", "2"],
+    ["verify-schur-weyl", "--n", "3", "--m", "3"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_verify_commands_take_the_grid_path(argv, monkeypatch, capsys):
+    # a verify command guards, then checks, one row of a verify-all family:
+    # its guard call is one that verify-all makes for the check's family, with
+    # the same arguments, and its check call is one that verify-all makes
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls.append((name, args + tuple(kwargs.items())))
+            return report(name, {}, [])
+        return record
+
+    guard_of = {}
+    for check, guard, _ in cli.FAMILIES.values():
+        module = sys.modules[check.__module__]
+        monkeypatch.setattr(module, check.__name__, recorder(check.__name__))
+        if guard:
+            monkeypatch.setattr(caps, guard.__name__, recorder(guard.__name__))
+            guard_of[check.__name__] = guard.__name__
+    assert main(GRID) == 0
+    grid = list(calls)
+    calls.clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    *guarded, (check, row) = calls
+    assert (check, row) in grid
+    if check in guard_of:
+        assert guarded == [(guard_of[check], row + (("max_cells", D),))]
+        assert guarded[0] in grid
+    else:
+        assert guarded == []
 
 
 def test_verify_schur_weyl_refuses_negative_m_before_its_guard(capsys):
@@ -544,8 +618,6 @@ def test_format_is_only_on_specht_dims(capsys):
     "argv, option",
     [
         (["mul", "--diagram", "1,2", "--diagram", "2,1", "--max-cells", "5"], "--max-cells"),
-        (["verify-lemma-3-10", "--n", "2", "--max-cells", "5"], "--max-cells"),
-        (["verify-lemma-4-4", "--n", "2", "--m", "1", "--max-cells", "5"], "--max-cells"),
         (["factorize", "--diagram", "2,0", "--n", "2"], "--n"),
     ],
 )
